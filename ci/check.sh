@@ -18,14 +18,15 @@
 #   5 chaos-smoke    failover + migration matrices under LSan, migration bench + trace
 #   6 examples-smoke quickstart + mapreduce_shuffle run end-to-end (timed)
 #   7 bench-smoke    bench_sim_core + storms + bench_socket_stream --json
-#   8 trace-validate failover + socket-stream traces vs expected timelines
-#   9 perf-gate      ci/perf_gate.py vs the committed baselines
+#   8 fingerprint    deterministic bench JSON == committed baseline, exactly
+#   9 trace-validate failover + socket-stream traces vs expected timelines
+#  10 perf-gate      ci/perf_gate.py vs the committed baselines
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 stage_table() {
-  grep -E '^#   [1-9] ' "$0" | sed 's/^#   //'
+  grep -E '^# +[0-9]+ [a-z]' "$0" | sed 's/^# *//'
 }
 
 only=0
@@ -36,7 +37,7 @@ while [[ $# -gt 0 ]]; do
     --stage) only="$2"; shift 2 ;;
     --from)  from="$2"; shift 2 ;;
     --list)  stage_table; exit 0 ;;
-    -h|--help) sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) jobs="$1"; shift ;;
   esac
 done
@@ -154,6 +155,23 @@ stage_bench_smoke() {
   ./build/bench/bench_tenant_gateway --json build/BENCH_tenant_gateway.json
 }
 
+stage_fingerprint() {
+  # Behaviour fingerprint. These benches run on the virtual clock from fixed
+  # seeds, so their whole JSON (metrics plus every telemetry snapshot) must
+  # equal the committed baseline exactly: a refactor that should not change
+  # behaviour is held to it, and a baseline the code no longer reproduces
+  # fails here rather than going stale. bench_failover is the one that kills
+  # RDMA under live trunks. Left out: sim_core (host time, gated with a
+  # tolerance below) and live_migration (stage 5 owns it).
+  ./build/bench/bench_failover --json build/BENCH_failover.json
+  python3 ci/fingerprint.py \
+    build/BENCH_connect_storm.json bench/baselines/BENCH_connect_storm.json \
+    build/BENCH_decision_storm.json bench/baselines/BENCH_decision_storm.json \
+    build/BENCH_socket_stream.json bench/baselines/BENCH_socket_stream.json \
+    build/BENCH_tenant_gateway.json bench/baselines/BENCH_tenant_gateway.json \
+    build/BENCH_failover.json bench/baselines/BENCH_failover.json
+}
+
 stage_trace_validate() {
   # Runs the failover matrix with Chrome-trace export and checks the trace is
   # well-formed and shows the full kill-rdma recovery timeline. The bench
@@ -196,8 +214,9 @@ run_stage 4 test-asan      stage_test_asan
 run_stage 5 chaos-smoke    stage_chaos_smoke
 run_stage 6 examples-smoke stage_examples_smoke
 run_stage 7 bench-smoke    stage_bench_smoke
-run_stage 8 trace-validate stage_trace_validate
-run_stage 9 perf-gate      stage_perf_gate
+run_stage 8 fingerprint    stage_fingerprint
+run_stage 9 trace-validate stage_trace_validate
+run_stage 10 perf-gate     stage_perf_gate
 
 write_times
 echo "== all selected stages passed (timings: ci/stage_times.json)"

@@ -488,11 +488,8 @@ void Agent::setup_rdma_trunk(fabric::HostId peer, SetupDoneFn done) {
     done(failed_precondition("local NIC is not RDMA-capable"));
     return;
   }
-  const auto& cfg = fabric_.config();
-  const std::size_t slot = cfg.fragment_bytes + RelayHeader::k_size;
   const TrunkKey key{peer, orch::Transport::rdma};
-  auto trunk = std::make_shared<RdmaTrunk>(rdma_device(), account_, cfg.zero_copy,
-                                           slot, cfg.rdma_slots);
+  auto trunk = std::make_shared<RdmaTrunk>(rdma_device(), account_, fabric_.config());
   // Pending adoption: the half-trunk goes into the map *before* the
   // handshake leaves, so an opposite-direction setup arriving mid-flight
   // finds and joins it instead of building a rival (sends queue safely —
@@ -532,18 +529,14 @@ void Agent::setup_rdma_trunk(fabric::HostId peer, SetupDoneFn done) {
       }
     }
     if (peer_trunk == nullptr) {
-      const auto& pcfg = peer_agent->fabric_.config();
-      peer_trunk = std::make_shared<RdmaTrunk>(
-          peer_agent->rdma_device(), peer_agent->account_, pcfg.zero_copy,
-          pcfg.fragment_bytes + RelayHeader::k_size, pcfg.rdma_slots);
+      peer_trunk = std::make_shared<RdmaTrunk>(peer_agent->rdma_device(),
+                                               peer_agent->account_,
+                                               peer_agent->fabric_.config());
       // Passive half: established right away — if we die before finishing,
       // the peer's heartbeat monitor reaps it.
       peer_agent->adopt_trunk(peer_key, peer_trunk, /*established=*/true);
     }
-    if (peer_trunk->qp()->state() != rdma::QpState::ready) {
-      FF_CHECK(peer_trunk->qp()->connect(self_host, my_qp).is_ok());
-      peer_trunk->start();
-    }
+    peer_trunk->connect(self_host, my_qp);
     const rdma::QpNum peer_qp = peer_trunk->qp()->num();
     fabric::send_control(peer_agent->host(), self_host, k_ctrl_bytes,
                          [this, key, trunk, peer_agent, peer_key, peer_trunk, peer,
@@ -562,10 +555,7 @@ void Agent::setup_rdma_trunk(fabric::HostId peer, SetupDoneFn done) {
         done(unavailable("rdma lane died during trunk setup"));
         return;
       }
-      if (trunk->qp()->state() != rdma::QpState::ready) {
-        FF_CHECK(trunk->qp()->connect(peer, peer_qp).is_ok());
-        trunk->start();
-      }
+      trunk->connect(peer, peer_qp);
       done(std::static_pointer_cast<Trunk>(trunk));
     });
   });

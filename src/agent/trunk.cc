@@ -9,116 +9,53 @@ namespace freeflow::agent {
 // ---------------------------------------------------------------- RdmaTrunk
 
 RdmaTrunk::RdmaTrunk(rdma::RdmaDevice& device, sim::UsageAccount& account,
-                     bool zero_copy, std::size_t slot_bytes, std::uint32_t slots)
-    : device_(device),
+                     const AgentConfig& cfg)
+    : host_(device.host()),
       account_(account),
-      zero_copy_(zero_copy),
-      slot_bytes_(slot_bytes),
-      slots_(slots) {
-  send_mr_ = device_.reg_mr(slot_bytes_ * slots_);
-  recv_mr_ = device_.reg_mr(slot_bytes_ * slots_);
-  send_cq_ = device_.create_cq(slots_ * 4);
-  recv_cq_ = device_.create_cq(slots_ * 4);
-  rdma::QpAttr attr;
-  attr.max_send_wr = slots_ * 2;
-  attr.max_recv_wr = slots_ * 2;
-  qp_ = device_.create_qp(send_cq_, recv_cq_, attr);
-  free_slots_.reserve(slots_);
-  for (std::uint32_t s = 0; s < slots_; ++s) free_slots_.push_back(s);
-}
+      zero_copy_(cfg.zero_copy),
+      lane_(std::make_shared<rdma::SlotLane>(device, &account,
+                                             cfg.fragment_bytes + RelayHeader::k_size,
+                                             cfg.rdma_slots, cfg.rdma_slots)) {}
 
-void RdmaTrunk::start(std::shared_ptr<rdma::QueuePair>) {
-  for (std::uint32_t s = 0; s < slots_; ++s) repost_recv(s);
-  send_cq_->set_notify([this]() { schedule_poll(); });
-  recv_cq_->set_notify([this]() { schedule_poll(); });
+void RdmaTrunk::connect(fabric::HostId remote_host, rdma::QpNum remote_qp) {
+  if (lane_->ready()) return;
+  FF_CHECK(lane_->qp()->connect(remote_host, remote_qp).is_ok());
+  // The lane is the trunk's alone: its wakeups stop when the trunk dies.
+  lane_->start([this]() { poll(); });
   pump();
 }
 
-void RdmaTrunk::repost_recv(std::uint32_t slot) {
-  rdma::RecvWr wr;
-  wr.wr_id = slot;
-  wr.local = {recv_mr_, slot * slot_bytes_, slot_bytes_};
-  const Status posted = qp_->post_recv(wr, &account_);
-  FF_CHECK(posted.is_ok());
-}
-
 void RdmaTrunk::send(Buffer record, std::uint32_t tenant) {
-  FF_CHECK(record.size() <= slot_bytes_);
+  FF_CHECK(record.size() <= lane_->slot_bytes());
   queue_.push_back(QueuedRecord{std::move(record), tenant});
   pump();
 }
 
 void RdmaTrunk::pump() {
-  if (qp_->state() != rdma::QpState::ready) return;
-  auto& host = device_.host();
-  const auto& m = host.cost_model();
-  while (!queue_.empty() && !free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    Buffer record = std::move(queue_.front().record);
-    const std::uint32_t tenant = queue_.front().tenant;
+  if (!lane_->ready()) return;
+  const auto& m = host_.cost_model();
+  while (!queue_.empty() && lane_->has_free_slot()) {
+    QueuedRecord queued = std::move(queue_.front());
     queue_.pop_front();
-
-    auto dst = send_mr_->slice(slot * slot_bytes_, record.size());
-    FF_CHECK(dst.is_ok());
-    std::memcpy(dst->data(), record.data(), record.size());
-
     // Zero-copy relay: the shm block doubles as the registered buffer, so
     // the agent pays only fixed per-record CPU. Copy mode is the ablation.
     double cpu = m.agent_record_ns;
-    if (!zero_copy_) cpu += m.agent_copy_ns_per_byte * static_cast<double>(record.size());
-    host.cpu().submit(cpu, nullptr, &account_);
-
-    rdma::SendWr wr;
-    wr.wr_id = slot;
-    wr.opcode = rdma::Opcode::send;
-    wr.local = {send_mr_, slot * slot_bytes_, record.size()};
-    wr.signaled = true;
-    wr.tenant = tenant;
-    const Status posted = qp_->post_send(wr, &account_);
-    FF_CHECK(posted.is_ok());
-    ++sent_;
+    if (!zero_copy_) {
+      cpu += m.agent_copy_ns_per_byte * static_cast<double>(queued.record.size());
+    }
+    host_.cpu().submit(cpu, nullptr, &account_);
+    lane_->post(queued.record.view(), queued.tenant);
   }
 }
 
-void RdmaTrunk::schedule_poll() {
-  if (poll_scheduled_) return;
-  poll_scheduled_ = true;
-  device_.host().loop().schedule(device_.host().cost_model().agent_wakeup_ns, [this]() {
-    poll_scheduled_ = false;
-    poll_cqs();
-  });
-}
-
-void RdmaTrunk::poll_cqs() {
-  auto& host = device_.host();
-  const auto& m = host.cost_model();
-  rdma::WorkCompletion wcs[16];
-
-  for (;;) {
-    const std::size_t n = send_cq_->poll(wcs);
-    if (n == 0) break;
-    host.cpu().submit(m.rdma_poll_ns * static_cast<double>(n), nullptr, &account_);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (wcs[i].status != rdma::WcStatus::success) {
-        FF_LOG(warn, "agent") << "trunk send completion error";
-        continue;
-      }
-      free_slots_.push_back(static_cast<std::uint32_t>(wcs[i].wr_id));
-    }
-  }
-  for (;;) {
-    const std::size_t n = recv_cq_->poll(wcs);
-    if (n == 0) break;
-    host.cpu().submit(m.rdma_poll_ns * static_cast<double>(n), nullptr, &account_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto slot = static_cast<std::uint32_t>(wcs[i].wr_id);
-      Buffer record(recv_mr_->data().data() + slot * slot_bytes_, wcs[i].byte_len);
-      repost_recv(slot);
-      host.cpu().submit(m.agent_record_ns, nullptr, &account_);
-      if (on_record_) on_record_(std::move(record));
-    }
-  }
+void RdmaTrunk::poll() {
+  lane_->drain(
+      [this](Buffer&& record) {
+        host_.cpu().submit(host_.cost_model().agent_record_ns, nullptr, &account_);
+        if (on_record_) on_record_(std::move(record));
+        return true;
+      },
+      []() { FF_LOG(warn, "agent") << "trunk completion error"; });
   pump();
   maybe_drained();
 }
@@ -129,7 +66,6 @@ DpdkTrunk::DpdkTrunk(dpdk::DpdkPort& port, fabric::HostId peer)
     : port_(port), peer_(peer) {}
 
 void DpdkTrunk::send(Buffer record, std::uint32_t tenant) {
-  ++sent_;
   const Status sent = port_.send(peer_, std::move(record), tenant);
   if (!sent.is_ok()) {
     FF_LOG(warn, "agent") << "dpdk trunk send failed: " << sent;
@@ -165,7 +101,6 @@ void TcpTrunk::pump() {
     std::memcpy(framed.data() + 4, record.data(), record.size());
     const Status s = conn_->send(std::move(framed));
     if (!s.is_ok()) return;  // would_block: resume from on_writable
-    ++sent_;
     queue_.pop_front();
   }
   maybe_drained();

@@ -8,15 +8,13 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <vector>
 
+#include "agent/relay.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "dpdk/pmd.h"
 #include "fabric/host.h"
-#include "rdma/cm.h"
-#include "rdma/device.h"
-#include "rdma/queue_pair.h"
+#include "rdma/slot_lane.h"
 #include "sim/resource.h"
 #include "tcpstack/network.h"
 
@@ -39,8 +37,6 @@ class Trunk {
   /// (this is what backpressures containers to the NIC's actual rate).
   [[nodiscard]] virtual bool congested() const noexcept { return false; }
 
-  [[nodiscard]] virtual std::uint64_t records_sent() const noexcept = 0;
-
  protected:
   RecordFn on_record_;     ///< set by the owning agent pair
   std::function<void()> on_drained_;
@@ -56,24 +52,30 @@ class Trunk {
   static constexpr std::size_t k_congestion_records = 32;
 };
 
-/// RDMA trunk: a connected RC QP with a ring of send slots in a registered
-/// MR and pre-posted receives. In zero-copy mode the payload bytes are
-/// charged no agent-CPU copy (the shm block itself is registered, as in
-/// the paper's Fig. 6 flow); copy mode is the ablation baseline.
+/// RDMA trunk: an rdma::SlotLane (a connected RC QP over a ring of send
+/// slots and pre-posted receives) plus the record queue feeding it. In
+/// zero-copy mode the payload bytes are charged no agent-CPU copy (the shm
+/// block itself is registered, as in the paper's Fig. 6 flow); copy mode is
+/// the ablation baseline.
 class RdmaTrunk final : public Trunk {
  public:
-  RdmaTrunk(rdma::RdmaDevice& device, sim::UsageAccount& account, bool zero_copy,
-            std::size_t slot_bytes, std::uint32_t slots);
+  /// One slot holds a full relay fragment plus its header.
+  RdmaTrunk(rdma::RdmaDevice& device, sim::UsageAccount& account, const AgentConfig& cfg);
+  RdmaTrunk(const RdmaTrunk&) = delete;  ///< its lane's wakeup holds `this`
+  RdmaTrunk& operator=(const RdmaTrunk&) = delete;
 
-  /// Call once on each side after create; exchanges QP numbers.
-  [[nodiscard]] std::shared_ptr<rdma::QueuePair> qp() noexcept { return qp_; }
-  void start(std::shared_ptr<rdma::QueuePair> remote_unused = nullptr);
+  [[nodiscard]] const std::shared_ptr<rdma::QueuePair>& qp() const noexcept {
+    return lane_->qp();
+  }
+  /// Connects the QP to the peer's, posts receives and starts draining
+  /// queued records. Only the first call on each side does anything: both
+  /// setup handshakes of a bidirectional race converge on the same QPs.
+  void connect(fabric::HostId remote_host, rdma::QpNum remote_qp);
 
   void send(Buffer record, std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested() const noexcept override {
     return queue_.size() > k_congestion_records;
   }
-  [[nodiscard]] std::uint64_t records_sent() const noexcept override { return sent_; }
 
  private:
   struct QueuedRecord {
@@ -82,26 +84,13 @@ class RdmaTrunk final : public Trunk {
   };
 
   void pump();
-  void schedule_poll();
-  void poll_cqs();
-  void repost_recv(std::uint32_t slot);
+  void poll();
 
-  rdma::RdmaDevice& device_;
+  fabric::Host& host_;
   sim::UsageAccount& account_;
   bool zero_copy_;
-  std::size_t slot_bytes_;
-  std::uint32_t slots_;
-
-  rdma::MrPtr send_mr_;
-  rdma::MrPtr recv_mr_;
-  rdma::CqPtr send_cq_;
-  rdma::CqPtr recv_cq_;
-  std::shared_ptr<rdma::QueuePair> qp_;
-
-  std::vector<std::uint32_t> free_slots_;
+  rdma::SlotLanePtr lane_;
   std::deque<QueuedRecord> queue_;
-  bool poll_scheduled_ = false;
-  std::uint64_t sent_ = 0;
 };
 
 /// DPDK trunk: records ride the shared per-host PMD port.
@@ -113,7 +102,6 @@ class DpdkTrunk final : public Trunk {
   [[nodiscard]] bool congested() const noexcept override {
     return port_.tx_queue_depth() > k_congestion_records;
   }
-  [[nodiscard]] std::uint64_t records_sent() const noexcept override { return sent_; }
 
   /// The owning agent routes port messages here.
   void deliver(Buffer&& record) {
@@ -123,7 +111,6 @@ class DpdkTrunk final : public Trunk {
  private:
   dpdk::DpdkPort& port_;
   fabric::HostId peer_;
-  std::uint64_t sent_ = 0;
 };
 
 /// TCP trunk: a host-mode kernel TCP connection between the two agents,
@@ -139,7 +126,6 @@ class TcpTrunk final : public Trunk {
   [[nodiscard]] bool congested() const noexcept override {
     return queue_.size() > k_congestion_records;
   }
-  [[nodiscard]] std::uint64_t records_sent() const noexcept override { return sent_; }
   [[nodiscard]] bool connected() const noexcept { return conn_ != nullptr; }
 
  private:
@@ -150,7 +136,6 @@ class TcpTrunk final : public Trunk {
   tcp::TcpConnection::Ptr conn_;
   std::deque<Buffer> queue_;  ///< records waiting for the connection/window
   Buffer rx_accum_;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace freeflow::agent

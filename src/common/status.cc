@@ -38,6 +38,9 @@ std::string Status::to_string() const {
 }
 
 void abort_with(const char* what, const Status& status) {
+  // abort() does not flush stdio: without this, everything a process printed
+  // to a redirected (fully buffered) stdout before the failure is lost.
+  std::fflush(stdout);
   std::fprintf(stderr, "[freeflow fatal] %s (%s)\n", what, status.to_string().c_str());
   std::abort();
 }

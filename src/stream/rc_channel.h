@@ -1,4 +1,4 @@
-// RcStreamChannel: a per-stream RDMA RC queue pair wrapped in the
+// RcStreamChannel: a per-stream rdma::SlotLane wrapped in the
 // agent::Channel interface — the TSoR data plane. Unlike the agents'
 // shared RdmaTrunk (one QP per host pair, all containers multiplexed), the
 // stream adapter carves one QP per upgraded stream directly out of the
@@ -15,11 +15,9 @@
 
 #include <deque>
 #include <memory>
-#include <vector>
 
 #include "agent/channel.h"
-#include "rdma/device.h"
-#include "rdma/queue_pair.h"
+#include "rdma/slot_lane.h"
 
 namespace freeflow::stream {
 
@@ -40,18 +38,16 @@ class RcStreamChannel final : public agent::Channel,
   /// scheduler (per-stream QPs belong to exactly one container).
   RcStreamChannel(rdma::RdmaDevice& device, sim::UsageAccount* account,
                   orch::ContainerId peer, std::uint32_t tenant = 0);
-  ~RcStreamChannel() override;
 
-  /// Posts receive buffers and hooks completion notifies (weakly — the QP
-  /// and CQs live in the device registry and can outlive this channel).
-  /// Must be called once, immediately after construction.
+  /// Posts receive buffers and hooks completion wakeups. Must be called
+  /// once, immediately after construction.
   void start();
 
   /// Connects the QP to the peer's (out-of-band exchange rides the
   /// conduit's rc_offer / rc_answer handshake). Queued sends then flow.
   Status connect(fabric::HostId remote_host, rdma::QpNum remote_qp);
 
-  [[nodiscard]] rdma::QpNum qp_num() const noexcept { return qp_->num(); }
+  [[nodiscard]] rdma::QpNum qp_num() const noexcept { return lane_->qp()->num(); }
 
   Status send(Buffer message) override;
   [[nodiscard]] bool writable() const noexcept override;
@@ -68,20 +64,11 @@ class RcStreamChannel final : public agent::Channel,
 
  private:
   void pump();
-  void schedule_poll();
-  void poll_cqs();
-  void repost_recv(std::uint32_t slot);
+  void poll();
   void return_credits();
 
-  rdma::RdmaDevice& device_;
-  sim::UsageAccount* account_;  ///< container CPU account for verb posts
   orch::ContainerId peer_;
-  rdma::MrPtr send_mr_;
-  rdma::MrPtr recv_mr_;
-  rdma::CqPtr send_cq_;
-  rdma::CqPtr recv_cq_;
-  std::shared_ptr<rdma::QueuePair> qp_;
-  std::vector<std::uint32_t> free_slots_;
+  rdma::SlotLanePtr lane_;
   std::deque<Buffer> queue_;         ///< messages awaiting slot + credit
   std::uint32_t credits_ = k_slots;  ///< peer receive credits we may consume
   std::uint32_t since_credit_ = 0;   ///< deliveries since the last grant
@@ -89,7 +76,6 @@ class RcStreamChannel final : public agent::Channel,
   std::function<void()> on_space_;
   bool closed_ = false;
   bool completion_error_ = false;
-  bool poll_scheduled_ = false;
 };
 
 using RcStreamChannelPtr = std::shared_ptr<RcStreamChannel>;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/bytes.h"
@@ -61,6 +65,24 @@ TEST(Result, MoveOnlyValue) {
   ASSERT_TRUE(r.is_ok());
   auto p = std::move(r).value();
   EXPECT_EQ(*p, 5);
+}
+
+TEST(StatusDeathTest, FfCheckFlushesRedirectedStdout) {
+  // Redirected stdout is fully buffered; a failed FF_CHECK must not take
+  // what the process already printed down with it.
+  const std::string path = ::testing::TempDir() + "ff_check_flush_stdout.txt";
+  std::remove(path.c_str());
+  EXPECT_DEATH(
+      {
+        FF_CHECK(std::freopen(path.c_str(), "w", stdout) != nullptr);
+        std::fputs("printed-before-the-check\n", stdout);
+        FF_CHECK(false);
+      },
+      "FF_CHECK failed: false");
+  std::ifstream in(path);
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_NE(text.find("printed-before-the-check"), std::string::npos) << text;
+  std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------------- Buffer

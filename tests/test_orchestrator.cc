@@ -144,6 +144,12 @@ struct DecisionCase {
   Transport expected;
 };
 
+// Print the case by name. gtest's default dump of this struct shows the raw
+// bytes of the `name` pointer (address-space-layout dependent) and of the
+// padding, and test discovery bakes that dump into each ctest test name, so
+// the names would change from build to build.
+void PrintTo(const DecisionCase& tc, std::ostream* os) { *os << tc.name; }
+
 class DecisionMatrix : public ::testing::TestWithParam<DecisionCase> {};
 
 TEST_P(DecisionMatrix, PicksPaperTransport) {

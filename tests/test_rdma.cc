@@ -4,6 +4,8 @@
 #include "rdma/cm.h"
 #include "rdma/device.h"
 #include "rdma/queue_pair.h"
+#include "rdma/slot_lane.h"
+#include "stream/rc_channel.h"
 
 namespace freeflow::rdma {
 namespace {
@@ -394,6 +396,239 @@ TEST_F(RdmaFixture, ZeroLengthSend) {
     return !wcs.empty();
   }));
   EXPECT_EQ(wcs[0].byte_len, 0u);
+}
+
+// ------------------------------------------------------------- SlotLane
+
+struct SlotLaneFixture : RdmaFixture {
+  static constexpr std::size_t k_slot_bytes = 1024;
+  static constexpr std::uint32_t k_slots = 4;
+
+  SlotLanePtr make_lane(RdmaDevice& dev) {
+    return std::make_shared<SlotLane>(dev, nullptr, k_slot_bytes, k_slots, k_slots);
+  }
+
+  /// Two started lanes with connected QPs; `b` collects what it receives
+  /// and `a` posts from `backlog` as its slots recycle.
+  void wire() {
+    a = make_lane(*dev_a);
+    b = make_lane(*dev_b);
+    ASSERT_TRUE(connect_pair(*a->qp(), *b->qp()).is_ok());
+    a->start([this]() {
+      ++a_wakeups;
+      a->drain([](Buffer&&) { return true; }, [this]() { ++errors; });
+      pump();
+    });
+    b->start([this]() {
+      ++b_wakeups;
+      b->drain(
+          [this](Buffer&& m) {
+            got.push_back(std::move(m));
+            return true;
+          },
+          [this]() { ++errors; });
+    });
+  }
+
+  void pump() {
+    while (!backlog.empty() && a->has_free_slot()) {
+      a->post(backlog.front().view());
+      backlog.pop_front();
+    }
+  }
+
+  SlotLanePtr a;
+  SlotLanePtr b;
+  std::deque<Buffer> backlog;
+  std::vector<Buffer> got;
+  int a_wakeups = 0;
+  int b_wakeups = 0;
+  int errors = 0;
+};
+
+TEST_F(SlotLaneFixture, MessagesArriveWholeInOrderAndSlotsRecycle) {
+  wire();
+  constexpr std::size_t k_messages = 4 * k_slots;
+  for (std::size_t i = 0; i < k_messages; ++i) {
+    Buffer m(1 + (i * 97) % k_slot_bytes);
+    fill_pattern(m.mutable_view(), i);
+    backlog.push_back(std::move(m));
+  }
+  pump();
+  EXPECT_FALSE(a->has_free_slot());
+  EXPECT_EQ(backlog.size(), k_messages - k_slots);
+  ASSERT_TRUE(run_until([&]() { return got.size() == k_messages; }));
+  for (std::size_t i = 0; i < k_messages; ++i) {
+    EXPECT_EQ(got[i].size(), 1 + (i * 97) % k_slot_bytes) << i;
+    EXPECT_TRUE(check_pattern(got[i].view(), i)) << i;
+  }
+  cluster.loop().run();
+  EXPECT_EQ(errors, 0);
+  EXPECT_EQ(a->qp()->send_queue_depth(), 0u);
+  // Every slot came home, and every receive was reposted.
+  int free_slots = 0;
+  while (a->has_free_slot()) {
+    a->post(Buffer(1).view());
+    ++free_slots;
+  }
+  EXPECT_EQ(free_slots, static_cast<int>(k_slots));
+  EXPECT_EQ(b->qp()->recv_queue_depth(), k_slots);
+}
+
+TEST_F(SlotLaneFixture, DroppingALaneWithAWakeupScheduledIsANoOp) {
+  wire();
+  backlog.push_back(Buffer(64));
+  pump();
+  // Step until the receive completion lands: its notify has scheduled b's
+  // coalesced wakeup, which has not run yet.
+  ASSERT_TRUE(run_until([&]() { return b->qp()->recv_cq()->depth() > 0; }));
+  EXPECT_EQ(b_wakeups, 0);
+  const std::weak_ptr<SlotLane> weak = b;
+  b->close();
+  b.reset();
+  EXPECT_TRUE(weak.expired());
+  cluster.loop().run();
+  EXPECT_EQ(b_wakeups, 0);
+  EXPECT_TRUE(got.empty());
+}
+
+TEST_F(SlotLaneFixture, ClosedLaneSchedulesNoWakeup) {
+  wire();
+  b->close();
+  backlog.push_back(Buffer(64));
+  pump();
+  cluster.loop().run();
+  EXPECT_EQ(b_wakeups, 0);
+  EXPECT_GT(a_wakeups, 0);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(b->qp()->recv_cq()->depth(), 1u);
+}
+
+// ------------------------------------------------- RcStreamChannel credits
+
+struct RcCreditFixture : RdmaFixture {
+  using Rc = stream::RcStreamChannel;
+
+  void wire() {
+    a = std::make_shared<Rc>(*dev_a, nullptr, /*peer=*/2);
+    b = std::make_shared<Rc>(*dev_b, nullptr, /*peer=*/1);
+    a->start();
+    b->start();
+    a->set_on_message([this](Buffer&& m) { a_got.push_back(std::move(m)); });
+    b->set_on_message([this](Buffer&& m) { b_got.push_back(std::move(m)); });
+    ASSERT_TRUE(a->connect(1, b->qp_num()).is_ok());
+    ASSERT_TRUE(b->connect(0, a->qp_num()).is_ok());
+  }
+
+  static Buffer message(std::uint64_t seed, std::size_t bytes = 4096) {
+    Buffer m(bytes);
+    fill_pattern(m.mutable_view(), seed);
+    return m;
+  }
+
+  static void expect_in_order(const std::vector<Buffer>& got, std::uint64_t first,
+                              std::size_t bytes = 4096) {
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].size(), bytes) << i;
+      EXPECT_TRUE(check_pattern(got[i].view(), first + i)) << i;
+    }
+  }
+
+  std::shared_ptr<Rc> a;
+  std::shared_ptr<Rc> b;
+  std::vector<Buffer> a_got;
+  std::vector<Buffer> b_got;
+};
+
+TEST_F(RcCreditFixture, SenderWithoutCreditsBlocksUntilAGrantLands) {
+  wire();
+  for (std::uint32_t i = 0; i < Rc::k_slots; ++i) {
+    EXPECT_TRUE(a->writable());
+    ASSERT_TRUE(a->send(message(i)).is_ok());
+  }
+  EXPECT_EQ(a->credits(), 0u);
+  EXPECT_FALSE(a->writable());
+  // Queued, not dropped: the next message waits for the peer's grant.
+  ASSERT_TRUE(a->send(message(Rc::k_slots)).is_ok());
+  EXPECT_FALSE(a->writable());
+
+  std::uint32_t first_grant = 0;
+  ASSERT_TRUE(run_until([&]() {
+    // A grant lands as credits; the queued message consumes one at once.
+    if (a->credits() > 0 && first_grant == 0) first_grant = a->credits() + 1;
+    return first_grant != 0;
+  }));
+  EXPECT_GE(first_grant, Rc::k_credit_batch);
+  ASSERT_TRUE(run_until([&]() { return b_got.size() == Rc::k_slots + 1; }));
+  cluster.loop().run();
+  EXPECT_TRUE(a->writable());
+  expect_in_order(b_got, 0);
+  // Only deliveries short of a full batch are still owed to the sender.
+  EXPECT_EQ(a->credits(), Rc::k_slots - (Rc::k_slots + 1) % Rc::k_credit_batch);
+}
+
+TEST_F(RcCreditFixture, SaturatedBothWaysStillMakesProgress) {
+  wire();
+  // Each side queues far more than its credits and data slots cover, so
+  // every data slot is full in both directions and credit grants must
+  // squeeze through the reserved receive buffers.
+  constexpr std::uint32_t k_messages = 8 * Rc::k_slots;
+  constexpr std::size_t k_bytes = Rc::k_slot_bytes;
+  for (std::uint32_t i = 0; i < k_messages; ++i) {
+    ASSERT_TRUE(a->send(message(1000 + i, k_bytes)).is_ok());
+    ASSERT_TRUE(b->send(message(5000 + i, k_bytes)).is_ok());
+  }
+  EXPECT_FALSE(a->writable());
+  EXPECT_FALSE(b->writable());
+  ASSERT_TRUE(run_until(
+      [&]() { return a_got.size() == k_messages && b_got.size() == k_messages; },
+      10 * k_second));
+  expect_in_order(b_got, 1000, k_bytes);
+  expect_in_order(a_got, 5000, k_bytes);
+  EXPECT_FALSE(a->closed());
+  EXPECT_FALSE(b->closed());
+}
+
+TEST_F(RcCreditFixture, OnSpaceFiresOncePerBlockedToWritableTransition) {
+  wire();
+  int fired = 0;
+  bool in_send = false;
+  a->set_on_space([&]() {
+    EXPECT_FALSE(in_send);
+    EXPECT_TRUE(a->writable());
+    ++fired;
+  });
+  std::uint64_t seed = 0;
+  for (int round = 1; round <= 3; ++round) {
+    while (a->writable()) {
+      in_send = true;
+      ASSERT_TRUE(a->send(message(seed++)).is_ok());
+      in_send = false;
+    }
+    EXPECT_EQ(fired, round - 1);
+    ASSERT_TRUE(run_until([&]() { return a->writable(); }));
+    EXPECT_EQ(fired, round);
+  }
+  cluster.loop().run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(b_got.size(), seed);
+  expect_in_order(b_got, 0);
+}
+
+TEST_F(RcCreditFixture, CloseAndDropWithAPollScheduledIsANoOp) {
+  wire();
+  ASSERT_TRUE(a->send(message(0)).is_ok());
+  // Step until the message lands: its completion has scheduled b's poll.
+  const CqPtr b_recv_cq = dev_b->qp(b->qp_num())->recv_cq();
+  ASSERT_TRUE(run_until([&]() { return b_recv_cq->depth() > 0; }));
+  const std::weak_ptr<Rc> weak = b;
+  b->close();
+  b.reset();
+  EXPECT_TRUE(weak.expired());
+  cluster.loop().run();
+  EXPECT_TRUE(b_got.empty());
+  EXPECT_EQ(b_recv_cq->depth(), 1u);
+  EXPECT_FALSE(a->closed());
 }
 
 }  // namespace
