@@ -193,10 +193,15 @@ FailoverResult run_failover(const std::string& trace_path) {
   };
   r.client->set_on_space([pump]() { (*pump)(); });
   (*pump)();
+  // Each queued timer job owns the tick; the closure observes itself
+  // weakly, so the chain dies with the loop's pending events instead of
+  // pinning itself and the pump forever.
   auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&cluster, pump, tick]() {
+  *tick = [&cluster, pump, wtick = std::weak_ptr<std::function<void()>>(tick)]() {
     (*pump)();
-    cluster.loop().schedule(50 * k_microsecond, [tick]() { (*tick)(); });
+    auto t = wtick.lock();
+    if (!t) return;
+    cluster.loop().schedule(50 * k_microsecond, [t]() { (*t)(); });
   };
   (*tick)();
 

@@ -7,7 +7,10 @@
 // claim in one ratio: the latency tenant's p99 under full bulk contention
 // divided by its uncontended p99. Also measured: aggregate goodput across
 // both tenants (floor-gated against the committed baseline), autoscaler
-// activity, and the shm isolation audit (zero cross-tenant attaches).
+// activity, and the shm isolation audit (zero cross-tenant attaches). A last
+// phase puts a bulk fleet on the latency clients' host, so both tenants
+// share one agent RDMA trunk, and reports the latency tenant's p99 and each
+// tenant's trunk wait there, with the full telemetry snapshot in --json.
 #include "bench_common.h"
 
 #include "common/logging.h"
@@ -328,6 +331,52 @@ int main(int argc, char** argv) {
   report.add("faults_applied", static_cast<double>(injector.faults_applied()));
   report.add("cross_tenant_attaches", static_cast<double>(registry.foreign_attaches()));
   report.add("denied_attaches", static_cast<double>(registry.denied_attaches()));
+
+  // ---- phase 4: both tenants on one trunk ------------------------------
+  // Until now the tenants met only at the gateway host's NIC: each client
+  // fleet has its own host, so each tenant's responses ride their own
+  // agent trunk. Here a bulk fleet joins the latency clients' host, and
+  // both tenants' responses share the gateway agent's one RDMA trunk (one
+  // RC QP per host pair) toward it. The trunk's per-tenant wait histograms
+  // cover this phase only; everything above is already recorded.
+  ClientFleet bulk_shared(env, k_bulk_tenant, "bulks", 1, k_bulk_clients / 2,
+                          bulk_svc.gw_container->ip(), k_bulk_gw_port, 256,
+                          k_bulk_resp, k_bulk_pipeline);
+  bulk_shared.start();
+  FF_CHECK(spin(env.cluster,
+                [&]() { return bulk_shared.all_connected() &&
+                               bulk_shared.completed() >= 4; },
+                10 * k_second));
+  auto& metrics = env.cluster.telemetry().metrics();
+  const auto trunk_wait = [&](orch::TenantId tenant) -> Histogram& {
+    return metrics.histogram("agent/0/trunk/1/tenant/" + std::to_string(tenant) +
+                             "/wait_ns");
+  };
+  trunk_wait(k_lat_tenant).reset();
+  trunk_wait(k_bulk_tenant).reset();
+  lat_fleet.reset_latency();
+  const std::uint64_t shared_bytes0 = bulk_shared.response_bytes();
+  const SimTime shared_start = env.loop().now();
+  env.loop().run_for(k_uncontended_window);
+  const SimDuration shared_window = env.loop().now() - shared_start;
+  const Histogram shared = lat_fleet.merged_latency();
+  const double p99_shared_us = static_cast<double>(shared.p99()) / 1e3;
+  std::printf("shared-trunk latency tenant: %s\n", shared.summary_ns().c_str());
+  std::printf("trunk wait, latency tenant:  %s\n",
+              trunk_wait(k_lat_tenant).summary_ns().c_str());
+  std::printf("trunk wait, bulk tenant:     %s\n",
+              trunk_wait(k_bulk_tenant).summary_ns().c_str());
+  report.add("latency_p99_shared_trunk_us", p99_shared_us);
+  report.add("shared_trunk_isolation_ratio",
+             p99_uncontended_us > 0 ? p99_shared_us / p99_uncontended_us : 0.0);
+  report.add("shared_trunk_bulk_gbps",
+             static_cast<double>(bulk_shared.response_bytes() - shared_bytes0) * 8.0 /
+                 static_cast<double>(shared_window));
+  report.add("trunk_wait_p99_latency_us",
+             static_cast<double>(trunk_wait(k_lat_tenant).p99()) / 1e3);
+  report.add("trunk_wait_p99_bulk_us",
+             static_cast<double>(trunk_wait(k_bulk_tenant).p99()) / 1e3);
+  report.add_raw("telemetry", metrics.snapshot_json());
 
   footer();
   return 0;

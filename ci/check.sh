@@ -15,7 +15,7 @@
 #   2 test           ctest, normal config
 #   3 build-asan     ASan+UBSan config, warnings-as-errors
 #   4 test-asan      ctest under ASan+UBSan with LeakSanitizer ENABLED
-#   5 chaos-smoke    failover + migration matrices under LSan, migration bench + trace
+#   5 chaos-smoke    fault/migration matrices + failover/stream benches under LSan, migration bench
 #   6 examples-smoke quickstart + mapreduce_shuffle run end-to-end (timed)
 #   7 bench-smoke    bench_sim_core + storms + bench_socket_stream --json
 #   8 fingerprint    deterministic bench JSON == committed baseline, exactly
@@ -77,7 +77,13 @@ run_stage() {  # run_stage NUMBER NAME FUNCTION
   echo "== stage $n: $name"
   local t0 t1 rc=0
   t0=$(date +%s)
-  "$fn" || rc=$?
+  # Bash ignores `set -e` inside a function run as `"$fn" || rc=$?`, so only
+  # a stage's last command could fail it. A subshell outside any `||` list
+  # keeps -e live: the stage stops at, and fails on, its first failure.
+  set +e
+  ( set -e; "$fn" )
+  rc=$?
+  set -e
   t1=$(date +%s)
   times_names+=("$name")
   times_secs+=($((t1 - t0)))
@@ -121,18 +127,25 @@ stage_chaos_smoke() {
   ./build-asan/tests/test_faults --gtest_brief=1
   # Same treatment for the migration matrix: planned moves racing NIC death,
   # quiesce-deadline expiry, and proactive partition evacuation under
-  # ASan+LSan. The bench then ping-pongs a container under live verified
-  # traffic and must show the full coordinated protocol in its trace.
+  # ASan+LSan.
   ./build-asan/tests/test_migration --gtest_brief=1
-  ./build/bench/bench_live_migration --json build/BENCH_live_migration.json \
-    --trace build/TRACE_live_migration.json
-  python3 ci/validate_trace.py build/TRACE_live_migration.json \
-    --expect "B:migration,i:quiesce,i:capture,i:transfer,i:resume,E:migration"
+  # The fingerprint benches that kill RDMA under live traffic, under
+  # ASan+LSan: their pump/tick drivers must not leak (a self-owning closure
+  # would keep the pump, and everything it holds, alive past exit).
+  ./build-asan/bench/bench_failover >/dev/null
+  ./build-asan/bench/bench_socket_stream >/dev/null
   # Tenant-isolation matrix under ASan+LSan: WDRR fairness, cross-tenant shm
   # denial, and the overlapping degrade/restore and trust-revocation
   # regressions all tear down mid-flight state worth leak-checking.
   ./build-asan/tests/test_fabric --gtest_brief=1 --gtest_filter='*Tenant*:*Wdrr*'
   ./build-asan/tests/test_shm --gtest_brief=1 --gtest_filter='*Tenant*:*Accounting*'
+  # The migration bench ping-pongs a container under live verified traffic
+  # and must show the full coordinated protocol in its trace. Last, so the
+  # checks above still report while it is red (ROADMAP P0).
+  ./build/bench/bench_live_migration --json build/BENCH_live_migration.json \
+    --trace build/TRACE_live_migration.json
+  python3 ci/validate_trace.py build/TRACE_live_migration.json \
+    --expect "B:migration,i:quiesce,i:capture,i:transfer,i:resume,E:migration"
 }
 
 stage_examples_smoke() {
@@ -199,10 +212,11 @@ stage_perf_gate() {
     bench/baselines/BENCH_decision_storm.json
   python3 ci/perf_gate.py build/BENCH_socket_stream.json \
     bench/baselines/BENCH_socket_stream.json
-  python3 ci/perf_gate.py build/BENCH_live_migration.json \
-    bench/baselines/BENCH_live_migration.json
   python3 ci/perf_gate.py build/BENCH_tenant_gateway.json \
     bench/baselines/BENCH_tenant_gateway.json
+  # Last, so the gates above still report while it is red (ROADMAP P0).
+  python3 ci/perf_gate.py build/BENCH_live_migration.json \
+    bench/baselines/BENCH_live_migration.json
 }
 
 # ------------------------------------------------------------------ drive

@@ -263,8 +263,8 @@ void Agent::establish_remote(orch::ContainerId src, orch::ContainerId dst,
                       auto to_agent = make_lane(container_account(src), &account_);
                       auto from_agent = make_lane(&account_, container_account(src));
                       auto ep = std::make_shared<RemoteChannelEndpoint>(
-                          *this, src, dst, dst_host, id, transport, to_agent,
-                          from_agent);
+                          *this, src, tenant_of(src), dst, dst_host, id, transport,
+                          to_agent, from_agent);
                       wire_outbound(ep);
                       endpoints_.emplace(id, ep);
                       done(ChannelPtr(ep));
@@ -287,9 +287,9 @@ void Agent::accept_channel(orch::ContainerId src, orch::ContainerId dst,
   // (rdma/dpdk) or at TCP accept; relay_outbound finds it by key.
   auto to_agent = make_lane(container_account(dst), &account_);
   auto from_agent = make_lane(&account_, container_account(dst));
-  auto ep = std::make_shared<RemoteChannelEndpoint>(*this, dst, src, src_host,
-                                                    channel_id, transport, to_agent,
-                                                    from_agent);
+  auto ep = std::make_shared<RemoteChannelEndpoint>(*this, dst, tenant_of(dst), src,
+                                                    src_host, channel_id, transport,
+                                                    to_agent, from_agent);
   wire_outbound(ep);
   endpoints_.emplace(channel_id, ep);
   it->second(src, ep);
@@ -453,6 +453,9 @@ std::shared_ptr<Trunk> Agent::adopt_trunk(const TrunkKey& key,
       dispatch_record(std::move(r));
     });
     trunk->set_on_drained([this]() { notify_space(); });
+    trunk->set_telemetry(fabric_.cluster().telemetry().metrics(),
+                         "agent/" + std::to_string(host_.id()) + "/trunk/" +
+                             std::to_string(key.peer) + "/");
     trunks_[key] = trunk;
   }
   if (established && !lane_last_rx_.contains(key)) {
@@ -698,10 +701,9 @@ void Agent::relay_outbound(orch::ContainerId src, orch::ContainerId dst,
     return;
   }
   Trunk& trunk = *it->second;
-  // Records inherit the source container's tenant so the shared trunk's
-  // packets land in the right per-tenant NIC queue.
-  const auto owner = fabric_.orchestrator().cluster_orch().container(src);
-  const std::uint32_t tenant = owner != nullptr ? owner->tenant() : 0;
+  // Records inherit the source container's tenant so the shared trunk
+  // schedules them, and their packets land, in that tenant's queues.
+  const std::uint32_t tenant = tenant_of(src);
   const std::size_t frag = fabric_.config().fragment_bytes;
   const auto total = static_cast<std::uint32_t>(message.size());
   const std::uint64_t seq = next_msg_seq_++;
@@ -721,10 +723,16 @@ void Agent::relay_outbound(orch::ContainerId src, orch::ContainerId dst,
   } while (offset < message.size());
 }
 
-bool Agent::trunk_writable(fabric::HostId peer, orch::Transport transport) const {
+std::uint32_t Agent::tenant_of(orch::ContainerId container) const {
+  const auto owner = fabric_.orchestrator().cluster_orch().container(container);
+  return owner != nullptr ? owner->tenant() : 0;
+}
+
+bool Agent::trunk_writable(fabric::HostId peer, orch::Transport transport,
+                           std::uint32_t tenant) const {
   auto it = trunks_.find(TrunkKey{peer, transport});
   if (it == trunks_.end()) return true;
-  return !it->second->congested();
+  return !it->second->congested(tenant);
 }
 
 void Agent::notify_space() {

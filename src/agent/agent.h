@@ -72,9 +72,10 @@ class Agent {
   /// Live channel count (weak entries pruned); teardown-test introspection.
   [[nodiscard]] std::size_t endpoint_count();
 
-  /// True when the trunk toward `peer` can absorb more records (the
-  /// channel-level writable() signal ANDs this in).
-  [[nodiscard]] bool trunk_writable(fabric::HostId peer, orch::Transport transport) const;
+  /// True when the trunk toward `peer` can absorb more of `tenant`'s
+  /// records (the channel-level writable() signal ANDs this in).
+  [[nodiscard]] bool trunk_writable(fabric::HostId peer, orch::Transport transport,
+                                    std::uint32_t tenant) const;
 
   /// A trunk drained: re-signal writability on every endpoint.
   void notify_space();
@@ -110,6 +111,10 @@ class Agent {
 
  private:
   friend class AgentFabric;
+
+  /// The tenant a container's relay records are classified under (0 for an
+  /// unknown container: the infrastructure class).
+  [[nodiscard]] std::uint32_t tenant_of(orch::ContainerId container) const;
 
   struct TrunkKey {
     fabric::HostId peer;

@@ -70,7 +70,7 @@ void ShmChannelEndpoint::close() noexcept {
 // ---------------------------------------------------- RemoteChannelEndpoint
 
 RemoteChannelEndpoint::RemoteChannelEndpoint(Agent& local_agent, orch::ContainerId self,
-                                             orch::ContainerId peer,
+                                             std::uint32_t tenant, orch::ContainerId peer,
                                              fabric::HostId peer_host,
                                              std::uint64_t channel_id,
                                              orch::Transport transport,
@@ -78,6 +78,7 @@ RemoteChannelEndpoint::RemoteChannelEndpoint(Agent& local_agent, orch::Container
                                              std::shared_ptr<shm::ShmLane> from_agent)
     : agent_(local_agent),
       self_(self),
+      tenant_(tenant),
       peer_(peer),
       peer_host_(peer_host),
       channel_id_(channel_id),
@@ -94,7 +95,7 @@ RemoteChannelEndpoint::RemoteChannelEndpoint(Agent& local_agent, orch::Container
 RemoteChannelEndpoint::~RemoteChannelEndpoint() { close(); }
 
 bool RemoteChannelEndpoint::writable() const noexcept {
-  return tx_.writable() && agent_.trunk_writable(peer_host_, transport_);
+  return tx_.writable() && agent_.trunk_writable(peer_host_, transport_, tenant_);
 }
 
 Status RemoteChannelEndpoint::send(Buffer message) {

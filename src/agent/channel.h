@@ -129,7 +129,9 @@ class RemoteChannelEndpoint final
     : public Channel,
       public std::enable_shared_from_this<RemoteChannelEndpoint> {
  public:
-  RemoteChannelEndpoint(Agent& local_agent, orch::ContainerId self,
+  /// `tenant` is `self`'s: it selects the trunk queue whose depth gates
+  /// writable().
+  RemoteChannelEndpoint(Agent& local_agent, orch::ContainerId self, std::uint32_t tenant,
                         orch::ContainerId peer, fabric::HostId peer_host,
                         std::uint64_t channel_id, orch::Transport transport,
                         std::shared_ptr<shm::ShmLane> to_agent,
@@ -138,8 +140,9 @@ class RemoteChannelEndpoint final
 
   Status send(Buffer message) override;
   /// Writable only while both the container->agent ring has space AND the
-  /// agent's trunk toward the peer host is uncongested — this propagates
-  /// NIC-rate backpressure all the way to the application.
+  /// agent's trunk toward the peer host is uncongested for this container's
+  /// tenant — this propagates NIC-rate backpressure all the way to the
+  /// application without one tenant's backlog pausing another's channels.
   [[nodiscard]] bool writable() const noexcept override;
   void set_on_message(DeliverFn cb) override;
   void set_on_space(std::function<void()> cb) override { tx_.set_on_space(std::move(cb)); }
@@ -167,6 +170,7 @@ class RemoteChannelEndpoint final
  private:
   Agent& agent_;
   orch::ContainerId self_;
+  std::uint32_t tenant_;
   orch::ContainerId peer_;
   fabric::HostId peer_host_;
   std::uint64_t channel_id_;

@@ -86,11 +86,17 @@ void Nic::set_tenant_qos(std::uint32_t tenant, TenantQos qos) {
   FF_CHECK(qos.weight >= 1);
   TenantQueue& tq = tenant_queue(tenant);
   tq.qos = qos;
+  tq.weight = qos.weight;
   // Any (re)configured cap starts earning tokens from now — an empty bucket,
   // so a tightened cap cannot spend a stale surplus.
   tq.tokens_at = loop_.now();
   tq.tokens = 0.0;
   dispatch_next();
+}
+
+TenantQos Nic::tenant_qos(std::uint32_t tenant) const noexcept {
+  auto it = tenants_.find(tenant);
+  return it == tenants_.end() ? TenantQos{} : it->second.qos;
 }
 
 std::uint64_t Nic::tenant_tx_bytes(std::uint32_t tenant) const noexcept {
@@ -129,77 +135,40 @@ void Nic::send(PacketPtr packet) {
   TenantQueue& tq = tenant_queue(packet->tenant);
   tq.q.push_back(std::move(packet));
   tq.g_queue_depth->set(static_cast<std::int64_t>(tq.q.size()));
-  if (!tq.active) {
-    tq.active = true;
-    tq.charged = false;
-    active_.push_back(&tq);
-  }
+  drr_.activate(tq);
   dispatch_next();
 }
 
 void Nic::dispatch_next() {
   if (tx_busy_) return;
   SimTime earliest_ready = -1;
-  std::size_t blocked_in_row = 0;
-  while (!active_.empty() && blocked_in_row < active_.size()) {
-    TenantQueue& tq = *active_.front();
-    if (tq.q.empty()) {
-      // Drained on a previous dispatch; retire from the rotation.
-      tq.active = false;
-      tq.charged = false;
-      tq.deficit = 0.0;
-      tq.g_deficit->set(0);
-      active_.pop_front();
-      continue;
-    }
-    const Packet& head = *tq.q.front();
-    if (tq.qos.rate_bps > 0) {
-      refill_tokens(tq);
-      if (tq.tokens < head.wire_bytes) {
+  TenantQueue* tq = drr_.pick(
+      [](const TenantQueue& t) {
+        return t.q.empty() ? -1.0 : static_cast<double>(t.q.front()->wire_bytes);
+      },
+      [this, &earliest_ready](TenantQueue& t, double head) {
+        if (t.qos.rate_bps <= 0) return false;
+        refill_tokens(t);
+        if (t.tokens >= head) return false;
         // Rate-capped below its WDRR share: wait for tokens without
         // charging a quantum, and let the others use the idle link.
-        const double bytes_per_ns = tq.qos.rate_bps / 8.0e9;
-        const auto wait = static_cast<SimTime>(
-            (head.wire_bytes - tq.tokens) / bytes_per_ns) + 1;
+        const double bytes_per_ns = t.qos.rate_bps / 8.0e9;
+        const auto wait = static_cast<SimTime>((head - t.tokens) / bytes_per_ns) + 1;
         const SimTime ready = loop_.now() + wait;
         if (earliest_ready < 0 || ready < earliest_ready) earliest_ready = ready;
-        ++blocked_in_row;
-        tq.charged = false;
-        active_.pop_front();
-        active_.push_back(&tq);
-        continue;
-      }
-    }
-    if (tq.deficit < head.wire_bytes) {
-      if (!tq.charged) {
-        tq.deficit += k_drr_quantum_bytes * tq.qos.weight;
-        tq.charged = true;
-      }
-      if (tq.deficit < head.wire_bytes) {
-        // Out of deficit this rotation; accumulate across rounds.
-        blocked_in_row = 0;
-        tq.charged = false;
-        tq.g_deficit->set(static_cast<std::int64_t>(tq.deficit));
-        active_.pop_front();
-        active_.push_back(&tq);
-        continue;
-      }
-    }
+        return true;
+      },
+      [](const TenantQueue& t) { t.g_deficit->set(static_cast<std::int64_t>(t.deficit)); });
+  if (tq != nullptr) {
     // Dispatch the head: it owns the serializer until service completes.
-    PacketPtr packet = std::move(tq.q.front());
-    tq.q.pop_front();
-    tq.deficit -= packet->wire_bytes;
-    if (tq.qos.rate_bps > 0) tq.tokens -= packet->wire_bytes;
-    tq.tx_bytes += packet->wire_bytes;
-    tq.ctr_tx_bytes->inc(packet->wire_bytes);
-    tq.g_queue_depth->set(static_cast<std::int64_t>(tq.q.size()));
-    if (tq.q.empty()) {
-      tq.active = false;
-      tq.charged = false;
-      tq.deficit = 0.0;
-      active_.pop_front();
-    }
-    tq.g_deficit->set(static_cast<std::int64_t>(tq.deficit));
+    PacketPtr packet = std::move(tq->q.front());
+    tq->q.pop_front();
+    drr_.consume(*tq, packet->wire_bytes, tq->q.empty());
+    if (tq->qos.rate_bps > 0) tq->tokens -= packet->wire_bytes;
+    tq->tx_bytes += packet->wire_bytes;
+    tq->ctr_tx_bytes->inc(packet->wire_bytes);
+    tq->g_queue_depth->set(static_cast<std::int64_t>(tq->q.size()));
+    tq->g_deficit->set(static_cast<std::int64_t>(tq->deficit));
     transmit(std::move(packet));
     return;
   }

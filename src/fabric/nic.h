@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 
+#include "common/drr.h"
 #include "fabric/packet.h"
 #include "sim/cost_model.h"
 #include "sim/event_loop.h"
@@ -104,11 +105,20 @@ class Nic {
   /// Configures (or reconfigures) one tenant's scheduling weight and
   /// optional rate cap. Unconfigured tenants default to weight 1, uncapped.
   void set_tenant_qos(std::uint32_t tenant, TenantQos qos);
+  /// One tenant's configured QoS (defaults if never configured). The
+  /// agents' RDMA trunks schedule records with the same weights.
+  [[nodiscard]] TenantQos tenant_qos(std::uint32_t tenant) const noexcept;
 
   /// Bytes this NIC transmitted for `tenant` (0 if never seen).
   [[nodiscard]] std::uint64_t tenant_tx_bytes(std::uint32_t tenant) const noexcept;
   /// Packets currently queued for `tenant` awaiting the scheduler.
   [[nodiscard]] std::size_t tenant_queue_depth(std::uint32_t tenant) const noexcept;
+
+  /// DRR quantum per unit of weight, in bytes. Small enough that a weight-8
+  /// tenant interleaves with a weight-1 tenant every few packets; deficits
+  /// accumulate across rounds, so packets larger than one quantum still go
+  /// out once the deficit catches up.
+  static constexpr double k_drr_quantum_bytes = 16.0 * 1024;
 
   /// Registers the receive handler for one packet kind.
   void set_rx_handler(PacketKind kind, std::function<void(PacketPtr)> handler);
@@ -127,18 +137,10 @@ class Nic {
   void set_telemetry(telemetry::Telemetry* hub);
 
  private:
-  /// DRR quantum per unit of weight, in bytes. Small enough that a weight-8
-  /// tenant interleaves with a weight-1 tenant every few packets; deficits
-  /// accumulate across rounds, so packets larger than one quantum still go
-  /// out once the deficit catches up.
-  static constexpr double k_drr_quantum_bytes = 16.0 * 1024;
-
-  struct TenantQueue {
+  /// The WDRR weight lives in DrrFlow::weight; `qos.weight` mirrors it.
+  struct TenantQueue : DrrFlow {
     std::deque<PacketPtr> q;
     TenantQos qos;
-    double deficit = 0.0;  ///< bytes this tenant may send before rotating
-    bool active = false;   ///< member of active_
-    bool charged = false;  ///< deficit already grew this rotation
     double tokens = 0.0;   ///< rate-cap token bucket, in bytes
     SimTime tokens_at = 0;
     std::uint64_t tx_bytes = 0;
@@ -155,6 +157,7 @@ class Nic {
   /// Picks the next packet by WDRR and occupies the tx link with it; no-op
   /// while a packet is serializing or every queue is empty/rate-blocked
   /// (blocked queues arm a retry timer at the earliest token-ready time).
+  /// Rate caps sit on top of the DRR as its `held` predicate.
   void dispatch_next();
   void transmit(PacketPtr packet);
 
@@ -170,8 +173,8 @@ class Nic {
   /// Keyed by tenant; std::map keeps round-robin admission order (and
   /// telemetry names) deterministic. Pointers into the map are stable.
   std::map<std::uint32_t, TenantQueue> tenants_;
-  /// Rotation of tenants with queued packets (WDRR active list).
-  std::deque<TenantQueue*> active_;
+  /// Rotation of tenants with queued packets.
+  DeficitRoundRobin<TenantQueue> drr_{k_drr_quantum_bytes};
   bool tx_busy_ = false;
   bool retry_armed_ = false;
   telemetry::Telemetry* hub_ = nullptr;

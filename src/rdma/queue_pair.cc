@@ -37,6 +37,7 @@ Status QueuePair::post_send(const SendWr& wr, sim::UsageAccount* account) {
   }
   device_.host().cpu().submit(device_.host().cost_model().rdma_post_ns, nullptr, account);
   sq_.push_back(wr);
+  sq_bytes_ += wr.local.length;
   pump();
   return ok_status();
 }
@@ -64,6 +65,7 @@ void QueuePair::pump() {
   tx_active_ = true;
   const SendWr wr = sq_.front();
   sq_.pop_front();
+  sq_bytes_ -= wr.local.length;
   const std::uint64_t msg_id = next_msg_id_++;
   outstanding_.emplace(msg_id, wr);
   if (wr.opcode == Opcode::read) {

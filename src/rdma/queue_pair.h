@@ -42,6 +42,9 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   Status post_recv(const RecvWr& wr, sim::UsageAccount* account = nullptr);
 
   [[nodiscard]] std::size_t send_queue_depth() const noexcept { return sq_.size(); }
+  /// Bytes of posted WRs the NIC has not started yet (the one streaming
+  /// now and those awaiting their ack are not counted).
+  [[nodiscard]] std::size_t send_queue_bytes() const noexcept { return sq_bytes_; }
   [[nodiscard]] std::size_t recv_queue_depth() const noexcept { return rq_.size(); }
 
   [[nodiscard]] CqPtr send_cq() const noexcept { return send_cq_; }
@@ -72,6 +75,7 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   QpNum remote_qp_ = 0;
 
   std::deque<SendWr> sq_;
+  std::size_t sq_bytes_ = 0;  ///< sum of local.length over sq_
   std::deque<RecvWr> rq_;
   bool tx_active_ = false;
   std::uint64_t next_msg_id_ = 1;

@@ -41,6 +41,10 @@ class SlotLane final : public std::enable_shared_from_this<SlotLane> {
   [[nodiscard]] bool ready() const noexcept { return qp_->state() == QpState::ready; }
   [[nodiscard]] bool has_free_slot() const noexcept { return !free_slots_.empty(); }
   [[nodiscard]] std::size_t slot_bytes() const noexcept { return slot_bytes_; }
+  /// Posted bytes the NIC has not started streaming (QueuePair backlog).
+  [[nodiscard]] std::size_t send_queue_bytes() const noexcept {
+    return qp_->send_queue_bytes();
+  }
 
   /// Copies `message` into a free slot and posts a signaled SEND.
   void post(ByteSpan message, std::uint32_t tenant = 0);

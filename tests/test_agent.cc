@@ -2,6 +2,7 @@
 
 #include "agent/agent.h"
 #include "agent/relay.h"
+#include "agent/trunk.h"
 #include "sim_env.h"
 
 namespace freeflow::agent {
@@ -380,6 +381,179 @@ TEST_F(AgentFixture, ClosedEndpointDropsTraffic) {
   EXPECT_EQ(ep_a->send(Buffer(1)).is_ok(), true);  // sender side still open
   ep_a->close();
   EXPECT_EQ(ep_a->send(Buffer(1)).code(), Errc::failed_precondition);
+}
+
+// ------------------------------------------------- tenants on one RDMA trunk
+
+/// Two tenants' container pairs across hosts 0 -> 1, both riding the one
+/// RDMA trunk between the hosts.
+struct SharedTrunk {
+  static constexpr orch::TenantId k_bulk = 1;
+  static constexpr orch::TenantId k_latency = 2;
+
+  explicit SharedTrunk(AgentFixture& fx) : agents(*env.net_orch) {
+    auto bulk_a = env.deploy("bulk-a", k_bulk, 0);
+    auto bulk_b = env.deploy("bulk-b", k_bulk, 1);
+    auto lat_a = env.deploy("lat-a", k_latency, 0);
+    auto lat_b = env.deploy("lat-b", k_latency, 1);
+    std::tie(bulk_tx, bulk_rx) =
+        fx.open_channel(env, agents, bulk_a, bulk_b, orch::Transport::rdma);
+    std::tie(lat_tx, lat_rx) = fx.open_channel(env, agents, lat_a, lat_b, orch::Transport::rdma);
+  }
+
+  /// Time `bytes` of records occupy the host NIC's tx link.
+  static SimDuration record_stream_ns(Env& e, std::size_t bytes) {
+    const double gbps = e.cluster.host(0).nic().capabilities().line_rate_gbps;
+    return static_cast<SimDuration>(static_cast<double>(bytes) * 8.0 / gbps);
+  }
+
+  Env env{2};
+  AgentFabric agents;
+  ChannelPtr bulk_tx, bulk_rx, lat_tx, lat_rx;
+};
+
+TEST_F(AgentFixture, LatencyRecordOvertakesQueuedBulkOnSharedTrunk) {
+  // The trunk's RC send queue is FIFO. With tenant A's 64 KiB records
+  // posted up to every send slot, a tenant-B record waited behind all of
+  // them (about 220 us here). Scheduled per tenant over a shallow send
+  // queue it waits for at most the record streaming now and the one
+  // posted behind it.
+  SharedTrunk t(*this);
+  ASSERT_NE(t.bulk_tx, nullptr);
+  ASSERT_NE(t.lat_tx, nullptr);
+  constexpr std::size_t k_bulk_bytes = 64 * 1024;
+  constexpr int k_bulk_msgs = 64;
+  const SimDuration stream_ns = SharedTrunk::record_stream_ns(t.env, k_bulk_bytes);
+
+  int bulk_seen = 0;
+  bool bulk_in_order = true;
+  t.bulk_rx->set_on_message([&](Buffer&& m) {
+    bulk_in_order = bulk_in_order && m.size() == k_bulk_bytes &&
+                    check_pattern(m.view(), 1000 + static_cast<std::uint64_t>(bulk_seen));
+    ++bulk_seen;
+  });
+  SimTime lat_arrived = -1;
+  t.lat_rx->set_on_message([&](Buffer&&) { lat_arrived = t.env.loop().now(); });
+
+  // Unloaded latency of a 256 B record on the idle trunk.
+  SimTime sent_at = t.env.loop().now();
+  ASSERT_TRUE(t.lat_tx->send(Buffer(256)).is_ok());
+  ASSERT_TRUE(t.env.wait([&]() { return lat_arrived >= 0; }));
+  const SimDuration unloaded = lat_arrived - sent_at;
+
+  for (int i = 0; i < k_bulk_msgs; ++i) {
+    Buffer m(k_bulk_bytes);
+    fill_pattern(m.mutable_view(), 1000 + static_cast<std::uint64_t>(i));
+    ASSERT_TRUE(t.bulk_tx->send(std::move(m)).is_ok());
+  }
+  const SimTime bulk_start = t.env.loop().now();
+  t.env.wait([&]() { return t.env.loop().now() >= bulk_start + 100 * k_microsecond; });
+  ASSERT_LT(bulk_seen, k_bulk_msgs - 8) << "tenant A must still have 8+ records queued";
+
+  lat_arrived = -1;
+  sent_at = t.env.loop().now();
+  ASSERT_TRUE(t.lat_tx->send(Buffer(256)).is_ok());
+  ASSERT_TRUE(t.env.wait([&]() { return lat_arrived >= 0; }));
+  EXPECT_LT(bulk_seen, k_bulk_msgs - 8) << "tenant B arrived only after the bulk drained";
+  EXPECT_LE(lat_arrived - sent_at, unloaded + 2 * stream_ns)
+      << "unloaded " << unloaded << " ns, one bulk record streams in " << stream_ns << " ns";
+
+  ASSERT_TRUE(t.env.wait([&]() { return bulk_seen == k_bulk_msgs; }, 30 * k_second));
+  EXPECT_TRUE(bulk_in_order);
+}
+
+TEST_F(AgentFixture, SingleTenantTrunkDeliversInOrderAtLineRate) {
+  // One tenant alone: the shallow send queue must not idle the NIC between
+  // a completion and the agent's next post, and records stay in order.
+  Env env(2);
+  AgentFabric agents(*env.net_orch);
+  auto a = env.deploy("a", 1, 0);
+  auto b = env.deploy("b", 1, 1);
+  auto [ep_a, ep_b] = open_channel(env, agents, a, b, orch::Transport::rdma);
+  ASSERT_NE(ep_a, nullptr);
+
+  // 64 KiB records interleaved with small ones (acks, RPCs).
+  std::vector<std::size_t> sizes;
+  std::size_t total = 0;
+  for (int i = 0; i < 192; ++i) {
+    sizes.push_back(i % 4 == 3 ? 200 : 64 * 1024);
+    total += sizes.back();
+  }
+  std::size_t seen = 0;
+  bool in_order = true;
+  ep_b->set_on_message([&](Buffer&& m) {
+    in_order = in_order && seen < sizes.size() && m.size() == sizes[seen] &&
+               check_pattern(m.view(), seen);
+    ++seen;
+  });
+  const SimTime t0 = env.loop().now();
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    Buffer m(sizes[i]);
+    fill_pattern(m.mutable_view(), i);
+    ASSERT_TRUE(ep_a->send(std::move(m)).is_ok());
+  }
+  ASSERT_TRUE(env.wait([&]() { return seen == sizes.size(); }, 30 * k_second));
+  EXPECT_TRUE(in_order);
+  const double secs = static_cast<double>(env.loop().now() - t0) / 1e9;
+  const double gbps = static_cast<double>(total) * 8.0 / secs / 1e9;
+  // The link carries RDMA and relay headers on top of the payload.
+  EXPECT_GE(gbps, 0.9 * env.cluster.host(0).nic().capabilities().line_rate_gbps)
+      << "goodput " << gbps << " Gb/s";
+}
+
+TEST_F(AgentFixture, TrunkSplitsPostedBytesByNicWeights) {
+  // Both tenants saturate the trunk; the host NIC's TenantQos weights 8:1
+  // must split what the trunk posts (and so what arrives) 8:1.
+  SharedTrunk t(*this);
+  ASSERT_NE(t.bulk_tx, nullptr);
+  ASSERT_NE(t.lat_tx, nullptr);
+  auto& nic = t.env.cluster.host(0).nic();
+  nic.set_tenant_qos(SharedTrunk::k_latency, fabric::TenantQos{.weight = 8});
+  nic.set_tenant_qos(SharedTrunk::k_bulk, fabric::TenantQos{.weight = 1});
+
+  constexpr std::size_t k_bytes = 16 * 1024;
+  constexpr int k_msgs = 400;
+  std::uint64_t heavy = 0, light = 0;
+  t.lat_rx->set_on_message([&](Buffer&& m) { heavy += m.size(); });
+  t.bulk_rx->set_on_message([&](Buffer&& m) { light += m.size(); });
+  for (int i = 0; i < k_msgs; ++i) {
+    ASSERT_TRUE(t.bulk_tx->send(Buffer(k_bytes)).is_ok());
+    ASSERT_TRUE(t.lat_tx->send(Buffer(k_bytes)).is_ok());
+  }
+  // Measure between 10% and 90% of the heavy tenant's transfer, while both
+  // tenants still have records queued.
+  ASSERT_TRUE(t.env.wait([&]() { return heavy >= k_msgs * k_bytes / 10; }, 30 * k_second));
+  const std::uint64_t heavy0 = heavy, light0 = light;
+  ASSERT_TRUE(t.env.wait([&]() { return heavy >= k_msgs * k_bytes * 9 / 10; }, 30 * k_second));
+  ASSERT_LT(light, k_msgs * k_bytes) << "the light tenant ran dry inside the window";
+  const double ratio =
+      static_cast<double>(heavy - heavy0) / static_cast<double>(light - light0);
+  EXPECT_NEAR(ratio, 8.0, 0.8);
+  ASSERT_TRUE(t.env.wait([&]() { return light == k_msgs * k_bytes; }, 30 * k_second));
+}
+
+TEST_F(AgentFixture, CongestedTenantLeavesOtherTenantWritable) {
+  // Backpressure is per tenant: one tenant's deep trunk queue pauses its
+  // own channels, not every channel between the two hosts.
+  SharedTrunk t(*this);
+  ASSERT_NE(t.bulk_tx, nullptr);
+  ASSERT_NE(t.lat_tx, nullptr);
+  t.bulk_rx->set_on_message([](Buffer&&) {});
+  t.lat_rx->set_on_message([](Buffer&&) {});
+  Agent& agent = t.agents.agent_on(0);
+  for (int i = 0; i < 128; ++i) ASSERT_TRUE(t.bulk_tx->send(Buffer(64 * 1024)).is_ok());
+  ASSERT_TRUE(t.env.wait([&]() {
+    return !agent.trunk_writable(1, orch::Transport::rdma, SharedTrunk::k_bulk);
+  }));
+  EXPECT_FALSE(t.bulk_tx->writable());
+  EXPECT_TRUE(agent.trunk_writable(1, orch::Transport::rdma, SharedTrunk::k_latency));
+  EXPECT_TRUE(t.lat_tx->writable());
+  const auto* depth = t.env.cluster.telemetry().metrics().find_gauge(
+      "agent/0/trunk/1/tenant/" + std::to_string(SharedTrunk::k_bulk) + "/queue_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_GT(depth->value(), static_cast<std::int64_t>(Trunk::k_congestion_records));
+  // The congested tenant recovers once its queue drains.
+  EXPECT_TRUE(t.env.wait([&]() { return t.bulk_tx->writable(); }, 30 * k_second));
 }
 
 }  // namespace
