@@ -12,15 +12,6 @@ using namespace freeflow::workloads;
 
 namespace {
 
-bool spin(fabric::Cluster& cluster, const std::function<bool()>& pred,
-          SimDuration budget) {
-  const SimTime deadline = cluster.loop().now() + budget;
-  for (;;) {
-    if (pred()) return true;
-    if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-  }
-}
-
 struct KvResult {
   double kops = 0;
   SimDuration p50 = 0;
@@ -38,7 +29,7 @@ KvResult run_kv(StreamPtr client_stream, fabric::Cluster& cluster, int ops) {
   for (int i = 0; i < 100; ++i) {
     client->put("key" + std::to_string(i), Buffer(512), [&](KvStatus) { ++loaded; });
   }
-  FF_CHECK(spin(cluster, [&]() { return loaded == 100; }, 30 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return loaded == 100; }, 30 * k_second));
 
   // GET-heavy closed loop with pipeline depth 8.
   const SimTime start = cluster.loop().now();
@@ -54,7 +45,7 @@ KvResult run_kv(StreamPtr client_stream, fabric::Cluster& cluster, int ops) {
     }
   };
   issue();
-  FF_CHECK(spin(cluster, [&]() { return completed == ops; }, 300 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return completed == ops; }, 300 * k_second));
   const double secs = static_cast<double>(cluster.loop().now() - start) / 1e9;
 
   KvResult out;
@@ -89,7 +80,7 @@ int main(int argc, char** argv) {
                        FF_CHECK(c.is_ok());
                        conn = *c;
                      });
-    FF_CHECK(spin(rig.env.cluster, [&]() { return conn != nullptr; }, 10 * k_second));
+    FF_CHECK(rig.env.cluster.loop().spin_until([&]() { return conn != nullptr; }, 10 * k_second));
     auto r = run_kv(std::make_shared<TcpStream>(conn), rig.env.cluster, k_ops);
     json.add("kv_overlay_kops", r.kops);
     json.add("kv_overlay_p99_ns", static_cast<double>(r.p99));
@@ -110,7 +101,7 @@ int main(int argc, char** argv) {
       FF_CHECK(s.is_ok());
       sock = *s;
     });
-    FF_CHECK(spin(rig.env.cluster, [&]() { return sock != nullptr; }, 10 * k_second));
+    FF_CHECK(rig.env.cluster.loop().spin_until([&]() { return sock != nullptr; }, 10 * k_second));
     auto r = run_kv(std::make_shared<FlowSocketStream>(sock), rig.env.cluster, k_ops);
     json.add("kv_freeflow_kops", r.kops);
     json.add("kv_freeflow_p99_ns", static_cast<double>(r.p99));
@@ -164,7 +155,7 @@ int main(int argc, char** argv) {
                   FF_CHECK(e.is_ok());
                   elapsed = *e;
                 });
-    FF_CHECK(spin(rig.env.cluster, [&]() { return elapsed != 0; }, 600 * k_second));
+    FF_CHECK(rig.env.cluster.loop().spin_until([&]() { return elapsed != 0; }, 600 * k_second));
     json.add("shuffle_overlay_ns", static_cast<double>(elapsed));
     std::printf("%-26s completion %-10s (%.1f Gb/s aggregate)\n",
                 "shuffle over overlay", format_ns(static_cast<double>(elapsed)).c_str(),
@@ -207,7 +198,7 @@ int main(int argc, char** argv) {
       FF_CHECK(e.is_ok());
       elapsed = *e;
     });
-    FF_CHECK(spin(env.cluster, [&]() { return elapsed != 0; }, 600 * k_second));
+    FF_CHECK(env.cluster.loop().spin_until([&]() { return elapsed != 0; }, 600 * k_second));
     json.add("shuffle_freeflow_ns", static_cast<double>(elapsed));
     std::printf("%-26s completion %-10s (%.1f Gb/s aggregate)\n",
                 "shuffle over FreeFlow", format_ns(static_cast<double>(elapsed)).c_str(),

@@ -12,19 +12,6 @@
 using namespace freeflow;
 using namespace freeflow::bench;
 
-namespace {
-
-bool spin(fabric::Cluster& cluster, const std::function<bool()>& pred,
-          SimDuration budget) {
-  const SimTime deadline = cluster.loop().now() + budget;
-  for (;;) {
-    if (pred()) return true;
-    if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   int flows = 1000;
   for (int i = 1; i + 1 < argc; ++i) {
@@ -93,8 +80,8 @@ int main(int argc, char** argv) {
           ++connected;
         });
   }
-  FF_CHECK(spin(env.cluster, [&]() { return connected + failed == flows; },
-                600 * k_second));
+  FF_CHECK(env.cluster.loop().spin_until([&]() { return connected + failed == flows; },
+                                         600 * k_second));
 
   auto& metrics = env.cluster.telemetry().metrics();
   // Selector stats are per-agent now: sum over every host's cache.

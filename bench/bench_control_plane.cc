@@ -8,17 +8,6 @@
 using namespace freeflow;
 using namespace freeflow::bench;
 
-namespace {
-bool spin(fabric::Cluster& cluster, const std::function<bool()>& pred,
-          SimDuration budget) {
-  const SimTime deadline = cluster.loop().now() + budget;
-  for (;;) {
-    if (pred()) return true;
-    if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-  }
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   banner("Control plane: convergence, setup latency, cache effectiveness",
          "extension: §4.1 'centralized control-plane' costs quantified");
@@ -38,7 +27,7 @@ int main(int argc, char** argv) {
     auto ip = overlay.add_container(0, nullptr);
     FF_CHECK(ip.is_ok());
     const SimTime start = cluster.loop().now();
-    const bool converged = spin(cluster, [&]() {
+    const bool converged = cluster.loop().spin_until([&]() {
       for (int h = 1; h < hosts; ++h) {
         if (!overlay.router(static_cast<fabric::HostId>(h))->route(*ip).has_value()) {
           return false;
@@ -76,7 +65,7 @@ int main(int argc, char** argv) {
       FF_CHECK(s.is_ok());
       sock = *s;
     });
-    FF_CHECK(spin(rig.env.cluster, [&]() { return sock != nullptr; }, 10 * k_second));
+    FF_CHECK(rig.env.cluster.loop().spin_until([&]() { return sock != nullptr; }, 10 * k_second));
     json.add(std::string(c.name) + "_setup_ns",
              static_cast<double>(rig.env.loop().now() - start));
     std::printf("%-14s %16s   (via %s)\n", c.name,
@@ -100,7 +89,7 @@ int main(int argc, char** argv) {
         FF_CHECK(s.is_ok());
         sock = *s;
       });
-      FF_CHECK(spin(rig.env.cluster, [&]() { return sock != nullptr; }, 10 * k_second));
+      FF_CHECK(rig.env.cluster.loop().spin_until([&]() { return sock != nullptr; }, 10 * k_second));
       std::printf("  connect #%d: %10s   (cache hits=%llu misses=%llu)\n", attempt,
                   format_ns(static_cast<double>(rig.env.loop().now() - start)).c_str(),
                   static_cast<unsigned long long>(rig.env.ff->selector().cache_hits()),

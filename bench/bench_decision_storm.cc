@@ -27,15 +27,6 @@ namespace {
 constexpr int k_hosts = 64;
 constexpr int k_containers = 2048;
 
-bool spin(fabric::Cluster& cluster, const std::function<bool()>& pred,
-          SimDuration budget) {
-  const SimTime deadline = cluster.loop().now() + budget;
-  for (;;) {
-    if (pred()) return true;
-    if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-  }
-}
-
 struct Pair {
   std::size_t src;
   std::size_t dst;
@@ -115,8 +106,8 @@ StormResult run_storm(int shards, const std::vector<Pair>& pairs, bool churn) {
                     }
                   });
     }
-    FF_CHECK(spin(env.cluster, [&]() { return done == static_cast<int>(pairs.size()); },
-                  600 * k_second));
+    FF_CHECK(env.cluster.loop().spin_until(
+        [&]() { return done == static_cast<int>(pairs.size()); }, 600 * k_second));
     return env.loop().now() - start;
   };
 

@@ -14,15 +14,6 @@ using namespace freeflow::workloads;
 
 namespace {
 
-bool spin(fabric::Cluster& cluster, const std::function<bool()>& pred,
-          SimDuration budget) {
-  const SimTime deadline = cluster.loop().now() + budget;
-  for (;;) {
-    if (pred()) return true;
-    if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-  }
-}
-
 struct EdgeResult {
   double baseline_gbps = 0;
   double blackout_ms = 0;
@@ -64,7 +55,7 @@ EdgeResult run_edge(const char* label, fabric::NicCapabilities caps,
     FF_CHECK(s.is_ok());
     client = *s;
   });
-  FF_CHECK(spin(cluster, [&]() { return client && server; }, 10 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return client && server; }, 10 * k_second));
   FF_CHECK(client->transport() == from);
 
   auto pump = std::make_shared<std::function<void()>>();
@@ -99,7 +90,7 @@ EdgeResult run_edge(const char* label, fabric::NicCapabilities caps,
   max_gap = 0;
   track_gaps = true;
   injector.apply({cluster.loop().now(), kill, 1});
-  FF_CHECK(spin(cluster, [&]() { return client->transport() == to; }, 10 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return client->transport() == to; }, 10 * k_second));
 
   const SimTime t1 = cluster.loop().now();
   const std::uint64_t bytes1 = received;
@@ -111,7 +102,7 @@ EdgeResult run_edge(const char* label, fabric::NicCapabilities caps,
   // Heal and expect the conduit to climb back onto the primary.
   injector.apply({cluster.loop().now(), heal, 1});
   r.recovered =
-      spin(cluster, [&]() { return client->transport() == from; }, 10 * k_second);
+      cluster.loop().spin_until([&]() { return client->transport() == from; }, 10 * k_second);
 
   // Cross-check the telemetry registry against the conduit's own counters:
   // the snapshot embedded in --json must agree with what the bench measured.

@@ -20,15 +20,6 @@ using namespace freeflow::workloads;
 
 namespace {
 
-bool spin(fabric::Cluster& cluster, const std::function<bool()>& pred,
-          SimDuration budget) {
-  const SimTime deadline = cluster.loop().now() + budget;
-  for (;;) {
-    if (pred()) return true;
-    if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-  }
-}
-
 constexpr std::uint8_t pattern_byte(std::uint64_t offset) {
   return static_cast<std::uint8_t>((offset * 131 + 17) & 0xFF);
 }
@@ -112,7 +103,7 @@ int main(int argc, char** argv) {
     FF_CHECK(s.is_ok());
     sock_client = *s;
   });
-  FF_CHECK(spin(cluster, [&]() { return sock_client && sock_server; }, 10 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return sock_client && sock_server; }, 10 * k_second));
 
   // ---- connection 2: stream adapter (TSoR), client -> server ----
   auto stream_a = stream::StreamNet::make(*na);
@@ -129,7 +120,7 @@ int main(int argc, char** argv) {
     FF_CHECK(s.is_ok());
     tsor_client = *s;
   });
-  FF_CHECK(spin(cluster, [&]() { return tsor_client && tsor_server; }, 10 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return tsor_client && tsor_server; }, 10 * k_second));
 
   // Writable-paced pumps plus the periodic re-pump that rides out the
   // pause/resume windows (on_space is silent across a splice). `pumping`
@@ -161,7 +152,7 @@ int main(int argc, char** argv) {
   (*tick)();
 
   // Warm up: both streams flowing, the TSoR stream upgraded onto its RC QP.
-  FF_CHECK(spin(cluster, [&]() {
+  FF_CHECK(cluster.loop().spin_until([&]() {
     return sock_rx.verified > 8ull * 1024 * 1024 &&
            tsor_rx.verified > 2ull * 1024 * 1024 && stream_a->upgrades() >= 1;
   }, 10 * k_second));
@@ -186,11 +177,11 @@ int main(int argc, char** argv) {
       report = *r;
       done = true;
     });
-    FF_CHECK(spin(cluster, [&]() { return done; }, 10 * k_second));
+    FF_CHECK(cluster.loop().spin_until([&]() { return done; }, 10 * k_second));
     // Let both receivers verify fresh post-move bytes so the silence window
     // brackets the whole outage, then read the gaps.
     const SimTime resumed = cluster.loop().now();
-    FF_CHECK(spin(cluster, [&]() {
+    FF_CHECK(cluster.loop().spin_until([&]() {
       return sock_rx.last_rx > resumed && tsor_rx.last_rx > resumed;
     }, 10 * k_second));
     const SimDuration gap = std::max(sock_rx.disarm(), tsor_rx.disarm());
@@ -213,11 +204,11 @@ int main(int argc, char** argv) {
   tsor_rx.arm();
   const fabric::HostId reactive_dst = (b->host() == 1) ? 2 : 1;
   FF_CHECK(env.cluster_orch->migrate(b->id(), reactive_dst).is_ok());
-  FF_CHECK(spin(cluster, [&]() {
+  FF_CHECK(cluster.loop().spin_until([&]() {
     return b->state() == orch::ContainerState::running && b->host() == reactive_dst;
   }, 10 * k_second));
   const SimTime reactive_done = cluster.loop().now();
-  FF_CHECK(spin(cluster, [&]() {
+  FF_CHECK(cluster.loop().spin_until([&]() {
     return sock_rx.last_rx > reactive_done && tsor_rx.last_rx > reactive_done;
   }, 30 * k_second));
   const SimDuration reactive_gap = std::max(sock_rx.disarm(), tsor_rx.disarm());
@@ -230,9 +221,9 @@ int main(int argc, char** argv) {
     FF_CHECK(r.is_ok());
     done = true;
   });
-  FF_CHECK(spin(cluster, [&]() { return done; }, 10 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return done; }, 10 * k_second));
   ++planned_moves;
-  const bool colocated_shm = spin(cluster, [&]() {
+  const bool colocated_shm = cluster.loop().spin_until([&]() {
     return sock_client->transport() == orch::Transport::shm;
   }, 10 * k_second);
   std::printf("co-located: socket conduit now rides %s\n",
@@ -244,7 +235,7 @@ int main(int argc, char** argv) {
   tsor_client->set_on_space(nullptr);
   const std::uint64_t sock_target = sock_sent;
   const std::uint64_t tsor_target = tsor_sent;
-  spin(cluster, [&]() {
+  cluster.loop().spin_until([&]() {
     return sock_rx.verified >= sock_target && tsor_rx.verified >= tsor_target;
   }, 30 * k_second);
   const std::uint64_t sock_lost =

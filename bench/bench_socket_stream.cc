@@ -29,15 +29,6 @@ constexpr std::uint8_t pattern_byte(std::uint64_t offset) {
   return static_cast<std::uint8_t>((offset * 131 + 17) & 0xFF);
 }
 
-bool spin(fabric::Cluster& cluster, const std::function<bool()>& pred,
-          SimDuration budget) {
-  const SimTime deadline = cluster.loop().now() + budget;
-  for (;;) {
-    if (pred()) return true;
-    if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-  }
-}
-
 /// An adapter rig: FreeFlow pair plus a StreamNet per container, with one
 /// established (and, unless the selector refuses, upgraded) stream.
 struct StreamRig {
@@ -58,13 +49,12 @@ struct StreamRig {
       FF_CHECK(s.is_ok());
       client = *s;
     });
-    FF_CHECK(spin(rig.env.cluster, [&]() { return client && server; }, 10 * k_second));
+    FF_CHECK(rig.env.cluster.loop().spin_until([&]() { return client && server; }, 10 * k_second));
   }
 
   void await_rdma() {
-    FF_CHECK(spin(rig.env.cluster,
-                  [&]() { return client->transport() == orch::Transport::rdma; },
-                  10 * k_second));
+    FF_CHECK(rig.env.cluster.loop().spin_until(
+        [&]() { return client->transport() == orch::Transport::rdma; }, 10 * k_second));
   }
 
   FreeFlowRig rig;
@@ -91,7 +81,7 @@ double stream_echo_rtt_us() {
     const SimTime t0 = loop.now();
     const std::uint64_t want = back + 4096;
     FF_CHECK(r.client->send(Buffer(4096)).is_ok());
-    FF_CHECK(spin(r.rig.env.cluster, [&]() { return back >= want; }, 1 * k_second));
+    FF_CHECK(r.rig.env.cluster.loop().spin_until([&]() { return back >= want; }, 1 * k_second));
     rtts.push_back(loop.now() - t0);
   }
   std::sort(rtts.begin(), rtts.end());
@@ -208,21 +198,18 @@ FailoverResult run_failover(const std::string& trace_path) {
   // Kill the RDMA engine under the remote end a third of the way in, heal
   // it once the fallback carries the stream, and let the re-upgraded QP
   // finish the transfer.
-  FF_CHECK(spin(cluster, [&]() { return res.verified > res.target / 3; }, 30 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return res.verified > res.target / 3; },
+                                     30 * k_second));
   injector.apply({cluster.loop().now(), faults::FaultKind::rdma_down, 1});
-  FF_CHECK(spin(cluster,
-                [&]() { return r.client->transport() != orch::Transport::rdma; },
-                30 * k_second));
-  FF_CHECK(spin(cluster, [&]() { return res.verified > res.target / 2; }, 30 * k_second));
+  FF_CHECK(cluster.loop().spin_until(
+      [&]() { return r.client->transport() != orch::Transport::rdma; }, 30 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return res.verified > res.target / 2; },
+                                     30 * k_second));
   injector.apply({cluster.loop().now(), faults::FaultKind::rdma_up, 1});
 
-  res.completed = spin(
-      cluster,
-      [&]() {
-        return res.verified >= res.target &&
-               r.client->transport() == orch::Transport::rdma;
-      },
-      60 * k_second);
+  res.completed = cluster.loop().spin_until([&]() {
+    return res.verified >= res.target && r.client->transport() == orch::Transport::rdma;
+  }, 60 * k_second);
   res.fallbacks = r.net_a->fallbacks();
   res.upgrades = r.net_a->upgrades();
   res.bytes_rdma = r.server->bytes_rdma();

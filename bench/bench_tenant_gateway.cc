@@ -44,15 +44,6 @@ constexpr int k_bulk_pipeline = 8;
 constexpr SimDuration k_uncontended_window = 20 * k_millisecond;
 constexpr SimDuration k_contended_window = 40 * k_millisecond;
 
-bool spin(fabric::Cluster& cluster, const std::function<bool()>& pred,
-          SimDuration budget) {
-  const SimTime deadline = cluster.loop().now() + budget;
-  for (;;) {
-    if (pred()) return true;
-    if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-  }
-}
-
 /// One tenant's gateway service: gateway container + autoscaled backends,
 /// all on the gateway host so backend channels ride tenant-scoped shm.
 struct GatewayService {
@@ -230,10 +221,9 @@ int main(int argc, char** argv) {
                         lat_svc.gw_container->ip(), k_lat_gw_port, 256,
                         k_lat_resp, 1);
   lat_fleet.start();
-  FF_CHECK(spin(env.cluster,
-                [&]() { return lat_fleet.all_connected() &&
-                               lat_fleet.completed() >= 8; },
-                10 * k_second));
+  FF_CHECK(env.cluster.loop().spin_until([&]() {
+    return lat_fleet.all_connected() && lat_fleet.completed() >= 8;
+  }, 10 * k_second));
   lat_fleet.reset_latency();
   env.loop().run_for(k_uncontended_window);
   const Histogram uncontended = lat_fleet.merged_latency();
@@ -251,10 +241,9 @@ int main(int argc, char** argv) {
                          bulk_svc.gw_container->ip(), k_bulk_gw_port, 256,
                          k_bulk_resp, k_bulk_pipeline);
   bulk_wave1.start();
-  FF_CHECK(spin(env.cluster,
-                [&]() { return bulk_wave1.all_connected() &&
-                               bulk_wave1.completed() >= 4; },
-                10 * k_second));
+  FF_CHECK(env.cluster.loop().spin_until([&]() {
+    return bulk_wave1.all_connected() && bulk_wave1.completed() >= 4;
+  }, 10 * k_second));
   env.loop().schedule(8 * k_millisecond, [&]() { bulk_wave2.start(); });
   const auto bulk_completed = [&]() {
     return bulk_wave1.completed() + bulk_wave2.completed();
@@ -343,10 +332,9 @@ int main(int argc, char** argv) {
                           bulk_svc.gw_container->ip(), k_bulk_gw_port, 256,
                           k_bulk_resp, k_bulk_pipeline);
   bulk_shared.start();
-  FF_CHECK(spin(env.cluster,
-                [&]() { return bulk_shared.all_connected() &&
-                               bulk_shared.completed() >= 4; },
-                10 * k_second));
+  FF_CHECK(env.cluster.loop().spin_until([&]() {
+    return bulk_shared.all_connected() && bulk_shared.completed() >= 4;
+  }, 10 * k_second));
   auto& metrics = env.cluster.telemetry().metrics();
   const auto trunk_wait = [&](orch::TenantId tenant) -> Histogram& {
     return metrics.histogram("agent/0/trunk/1/tenant/" + std::to_string(tenant) +

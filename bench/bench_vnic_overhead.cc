@@ -14,15 +14,6 @@ using namespace freeflow::workloads;
 
 namespace {
 
-bool spin(fabric::Cluster& cluster, const std::function<bool()>& pred,
-          SimDuration budget) {
-  const SimTime deadline = cluster.loop().now() + budget;
-  for (;;) {
-    if (pred()) return true;
-    if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-  }
-}
-
 /// One signaled 1 MiB WRITE through a FreeFlow vQP; returns completion time.
 SimDuration freeflow_write_once(FreeFlowRig& rig) {
   auto& cluster = rig.env.cluster;
@@ -36,7 +27,7 @@ SimDuration freeflow_write_once(FreeFlowRig& rig) {
                           FF_CHECK(q.is_ok());
                           qa = *q;
                         });
-  FF_CHECK(spin(cluster, [&]() { return qa != nullptr; }, 10 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return qa != nullptr; }, 10 * k_second));
 
   auto src = rig.net_a->reg_mr(1 << 20);
   auto dst = rig.net_b->reg_mr(1 << 20);
@@ -51,8 +42,8 @@ SimDuration freeflow_write_once(FreeFlowRig& rig) {
   const SimTime t0 = cluster.loop().now();
   FF_CHECK(qa->post_send(wr).is_ok());
   // Completion is local (RC semantics); wait for the data to actually land.
-  FF_CHECK(spin(cluster, [&]() { return check_pattern(dst->data().view(), 7); },
-                30 * k_second));
+  FF_CHECK(cluster.loop().spin_until(
+      [&]() { return check_pattern(dst->data().view(), 7); }, 30 * k_second));
   return cluster.loop().now() - t0;
 }
 
@@ -82,8 +73,8 @@ int main(int argc, char** argv) {
     wr.remote = {dst->rkey(), 0};
     const SimTime t0 = cluster.loop().now();
     FF_CHECK(qa->post_send(wr).is_ok());
-    FF_CHECK(spin(cluster, [&]() { return check_pattern(dst->data().view(), 3); },
-                  30 * k_second));
+    FF_CHECK(cluster.loop().spin_until(
+        [&]() { return check_pattern(dst->data().view(), 3); }, 30 * k_second));
     json.add("raw_verbs_1mib_ns", static_cast<double>(cluster.loop().now() - t0));
     std::printf("%-34s %14s\n", "raw verbs (hardware path, Fig.5)",
                 format_ns(static_cast<double>(cluster.loop().now() - t0)).c_str());

@@ -18,7 +18,7 @@
 #   5 chaos-smoke    fault/migration matrices + failover/stream benches under LSan, migration bench
 #   6 examples-smoke quickstart + mapreduce_shuffle run end-to-end (timed)
 #   7 bench-smoke    bench_sim_core + storms + bench_socket_stream --json
-#   8 fingerprint    deterministic bench JSON == committed baseline, exactly
+#   8 fingerprint    deterministic bench JSON and perfbench fingerprints == baselines
 #   9 trace-validate failover + socket-stream traces vs expected timelines
 #  10 perf-gate      ci/perf_gate.py vs the committed baselines
 set -euo pipefail
@@ -183,6 +183,9 @@ stage_fingerprint() {
     build/BENCH_socket_stream.json bench/baselines/BENCH_socket_stream.json \
     build/BENCH_tenant_gateway.json bench/baselines/BENCH_tenant_gateway.json \
     build/BENCH_failover.json bench/baselines/BENCH_failover.json
+  # The repository benchmark, seed 1, one second per workload: perfbench's
+  # fingerprint covers its virtual-clock metrics and telemetry snapshot.
+  python3 ci/perfbench_fingerprint.py bench/baselines/PERFBENCH_fingerprints.json
 }
 
 stage_trace_validate() {

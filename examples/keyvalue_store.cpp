@@ -17,16 +17,6 @@ using workloads::KvClient;
 using workloads::KvServer;
 using workloads::KvStatus;
 
-namespace {
-bool spin(fabric::Cluster& c, const std::function<bool()>& p, SimDuration budget) {
-  const SimTime deadline = c.loop().now() + budget;
-  for (;;) {
-    if (p()) return true;
-    if (c.loop().now() >= deadline || !c.loop().step()) return false;
-  }
-}
-}  // namespace
-
 int main() {
   fabric::Cluster cluster;
   cluster.add_hosts(2);
@@ -71,7 +61,7 @@ int main() {
       rig->client = std::make_shared<KvClient>(std::make_shared<FlowSocketStream>(*s));
       rig->client->set_clock([&cluster]() { return cluster.loop().now(); });
     });
-    FF_CHECK(spin(cluster, [&]() { return rig->client != nullptr; }, 5 * k_second));
+    FF_CHECK(cluster.loop().spin_until([&]() { return rig->client != nullptr; }, 5 * k_second));
     std::printf("%-16s connected via %s\n", rig->name.c_str(),
                 orch::transport_name(rig->sock->transport()).data());
     clients.push_back(*rig);
@@ -88,7 +78,7 @@ int main() {
                              std::move(value), [&](KvStatus) { --outstanding; });
     }
   }
-  FF_CHECK(spin(cluster, [&]() { return outstanding == 0; }, 30 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return outstanding == 0; }, 30 * k_second));
   std::printf("loaded 150 keys\n");
 
   int mismatches = 0;
@@ -106,7 +96,7 @@ int main() {
       }
     }
   }
-  FF_CHECK(spin(cluster, [&]() { return outstanding == 0; }, 30 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return outstanding == 0; }, 30 * k_second));
   std::printf("cross-read complete, mismatches: %d\n", mismatches);
 
   for (auto& rig : clients) {

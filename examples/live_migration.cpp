@@ -11,16 +11,6 @@
 
 using namespace freeflow;
 
-namespace {
-bool spin(fabric::Cluster& c, const std::function<bool()>& p, SimDuration budget) {
-  const SimTime deadline = c.loop().now() + budget;
-  for (;;) {
-    if (p()) return true;
-    if (c.loop().now() >= deadline || !c.loop().step()) return false;
-  }
-}
-}  // namespace
-
 int main() {
   fabric::Cluster cluster;
   cluster.add_hosts(2);
@@ -59,7 +49,7 @@ int main() {
     FF_CHECK(s.is_ok());
     tx = *s;
   });
-  FF_CHECK(spin(cluster, [&]() { return tx && rx; }, 5 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return tx && rx; }, 5 * k_second));
 
   std::uint64_t sent_seed = 0;
   auto send_burst = [&](int chunks) {
@@ -70,7 +60,8 @@ int main() {
     }
   };
   auto drain = [&]() {
-    FF_CHECK(spin(cluster, [&]() { return expected_seed == sent_seed; }, 60 * k_second));
+    FF_CHECK(cluster.loop().spin_until([&]() { return expected_seed == sent_seed; },
+                                       60 * k_second));
   };
   auto report = [&](const char* phase) {
     std::printf("%-28s transport=%-5s  received=%6llu KiB  integrity_errors=%llu\n",
@@ -86,7 +77,7 @@ int main() {
   // Migrate the consumer next to the producer. The stream is quiesced
   // (bursts are drained) so no in-flight data straddles the blackout.
   FF_CHECK(cluster_orch.migrate(consumer->id(), 0).is_ok());
-  FF_CHECK(spin(cluster, [&]() {
+  FF_CHECK(cluster.loop().spin_until([&]() {
     return consumer->host() == 0 && tx->transport() == orch::Transport::shm;
   }, 10 * k_second));
   send_burst(256);
@@ -95,7 +86,7 @@ int main() {
 
   // And move it back: shm -> rdma again.
   FF_CHECK(cluster_orch.migrate(consumer->id(), 1).is_ok());
-  FF_CHECK(spin(cluster, [&]() {
+  FF_CHECK(cluster.loop().spin_until([&]() {
     return consumer->host() == 1 && tx->transport() == orch::Transport::rdma;
   }, 10 * k_second));
   send_burst(256);

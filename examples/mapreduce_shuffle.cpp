@@ -19,13 +19,6 @@ using workloads::StreamPtr;
 using workloads::TcpStream;
 
 namespace {
-bool spin(fabric::Cluster& c, const std::function<bool()>& p, SimDuration budget) {
-  const SimTime deadline = c.loop().now() + budget;
-  for (;;) {
-    if (p()) return true;
-    if (c.loop().now() >= deadline || !c.loop().step()) return false;
-  }
-}
 
 Shuffle::Config make_config() {
   Shuffle::Config cfg;
@@ -85,7 +78,7 @@ int main() {
                   FF_CHECK(e.is_ok());
                   overlay_time = *e;
                 });
-    FF_CHECK(spin(cluster, [&]() { return overlay_time != 0; }, 600 * k_second));
+    FF_CHECK(cluster.loop().spin_until([&]() { return overlay_time != 0; }, 600 * k_second));
   }
 
   // ---- FreeFlow ----------------------------------------------------------
@@ -136,7 +129,7 @@ int main() {
                   FF_CHECK(e.is_ok());
                   freeflow_time = *e;
                 });
-    FF_CHECK(spin(cluster, [&]() { return freeflow_time != 0; }, 600 * k_second));
+    FF_CHECK(cluster.loop().spin_until([&]() { return freeflow_time != 0; }, 600 * k_second));
   }
 
   std::printf("\n%-18s %12s\n", "network", "completion");

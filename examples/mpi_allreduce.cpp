@@ -15,16 +15,6 @@
 
 using namespace freeflow;
 
-namespace {
-bool spin(fabric::Cluster& c, const std::function<bool()>& p, SimDuration budget) {
-  const SimTime deadline = c.loop().now() + budget;
-  for (;;) {
-    if (p()) return true;
-    if (c.loop().now() >= deadline || !c.loop().step()) return false;
-  }
-}
-}  // namespace
-
 int main() {
   constexpr int k_ranks = 4;
   constexpr int k_epochs = 3;
@@ -78,7 +68,7 @@ int main() {
             ++done;
           });
     }
-    FF_CHECK(spin(cluster, [&]() { return done == k_ranks; }, 300 * k_second));
+    FF_CHECK(cluster.loop().spin_until([&]() { return done == k_ranks; }, 300 * k_second));
 
     // Expected: sum over ranks of (r+1)*0.001 = (1+2+3+4)*0.001.
     const double expected = 10.0 * 0.001;
@@ -86,7 +76,7 @@ int main() {
 
     int through = 0;
     for (auto& ep : ranks) ep->barrier([&]() { ++through; });
-    FF_CHECK(spin(cluster, [&]() { return through == k_ranks; }, 300 * k_second));
+    FF_CHECK(cluster.loop().spin_until([&]() { return through == k_ranks; }, 300 * k_second));
 
     std::printf("epoch %d: allreduce(%zu params) + barrier in %s (checksum ok)\n",
                 epoch, k_params,

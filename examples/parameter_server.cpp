@@ -15,16 +15,6 @@ using namespace freeflow;
 using workloads::ParamServer;
 using workloads::PsWorker;
 
-namespace {
-bool spin(fabric::Cluster& c, const std::function<bool()>& p, SimDuration budget) {
-  const SimTime deadline = c.loop().now() + budget;
-  for (;;) {
-    if (p()) return true;
-    if (c.loop().now() >= deadline || !c.loop().step()) return false;
-  }
-}
-}  // namespace
-
 int main() {
   fabric::Cluster cluster;
   cluster.add_hosts(3);
@@ -76,7 +66,7 @@ int main() {
     rigs.push_back(std::move(rig));
   }
 
-  FF_CHECK(spin(cluster, [&]() {
+  FF_CHECK(cluster.loop().spin_until([&]() {
     for (const auto& r : rigs) {
       if (r->elapsed == 0) return false;
     }

@@ -8,11 +8,7 @@ namespace freeflow::core {
 ContainerNet::ContainerNet(FreeFlow& ff, orch::ContainerPtr container)
     : ff_(ff), container_(std::move(container)) {}
 
-ContainerNet::~ContainerNet() {
-  close_all_conduits();
-  for (auto& [raw, channel] : pending_incoming_) channel->close();
-  pending_incoming_.clear();
-}
+ContainerNet::~ContainerNet() { close_all(); }
 
 void ContainerNet::adopt_conduit(const ConduitPtr& conduit) {
   conduits_.emplace(conduit->token(), conduit);
@@ -59,7 +55,7 @@ void ContainerNet::adopt_stream_conduit(const ConduitPtr& conduit, StreamHooks h
   });
 }
 
-void ContainerNet::close_all_conduits() {
+void ContainerNet::close_all() {
   std::vector<ConduitPtr> snapshot;
   snapshot.reserve(conduits_.size());
   for (auto& [token, conduit] : conduits_) snapshot.push_back(conduit);
@@ -68,6 +64,8 @@ void ContainerNet::close_all_conduits() {
   // conduit parked in `closing_` would strand its channel graph forever.
   for (auto& conduit : snapshot) conduit->force_close(CloseReason::app_close);
   conduits_.clear();
+  for (auto& [raw, channel] : pending_incoming_) channel->close();
+  pending_incoming_.clear();
 }
 
 fabric::Host& ContainerNet::current_host() {
@@ -169,80 +167,61 @@ void ContainerNet::open_channel_for(ConduitPtr conduit, bool rebinding,
   });
 }
 
-void ContainerNet::connect_qp(tcp::Ipv4Addr peer_ip, std::uint16_t port,
-                              rdma::CqPtr send_cq, rdma::CqPtr recv_cq,
-                              QpConnectFn done) {
+Result<ConduitPtr> ContainerNet::initiator_conduit(tcp::Ipv4Addr peer_ip,
+                                                   std::uint16_t port) {
   auto peer = ff_.orchestrator().resolve_ip(peer_ip);
-  if (!peer.is_ok()) {
-    loop().schedule(0, [done = std::move(done), s = peer.status()]() { done(s); });
+  if (!peer.is_ok()) return peer.status();
+  return std::make_shared<Conduit>(ff_.next_token(), id(), *peer, peer_ip, port,
+                                   /*initiator=*/true);
+}
+
+void ContainerNet::open_conduit(tcp::Ipv4Addr peer_ip, std::uint16_t port, VMsg connect,
+                                std::function<void(Result<ConduitPtr>)> done) {
+  auto conduit = initiator_conduit(peer_ip, port);
+  if (!conduit.is_ok()) {
+    loop().schedule(0, [done = std::move(done), s = conduit.status()]() { done(s); });
     return;
   }
-  auto conduit = std::make_shared<Conduit>(ff_.next_token(), id(), *peer, peer_ip,
-                                           port, /*initiator=*/true);
-  // Owned by conduits_ from the start; the handshake handler below may
-  // capture the conduit freely — close() unhooks it, so no cycle survives.
-  adopt_conduit(conduit);
-  open_channel_for(conduit, /*rebinding=*/false,
-                   [this, conduit, port, send_cq, recv_cq,
-                    done = std::move(done)](Status st) mutable {
+  // Owned by conduits_ from the start; the handshake handler may capture
+  // the conduit freely — close() unhooks it, so no cycle survives.
+  adopt_conduit(*conduit);
+  open_channel_for(*conduit, /*rebinding=*/false,
+                   [conduit = *conduit, connect, done = std::move(done)](Status st) mutable {
     if (!st.is_ok()) {
       conduit->close();
       done(st);
       return;
     }
-    // Await cm_accept / cm_reject.
-    conduit->set_on_message([this, conduit, send_cq, recv_cq,
-                             done = std::move(done)](const WireHeader& h, ByteSpan) mutable {
-      if (h.type == VMsg::cm_accept) {
-        auto qp = std::make_shared<VirtualQp>(*this, conduit, send_cq, recv_cq);
-        qp->bind();
-        done(qp);
-      } else {
-        conduit->close();
-        done(connection_refused("peer rejected QP on port"));
-      }
-    });
-    WireHeader h;
-    h.type = VMsg::cm_connect;
-    h.port = port;
-    h.token = conduit->token();
-    conduit->send(h);
+    request_open(conduit, connect, std::move(done));
+  });
+}
+
+void ContainerNet::connect_qp(tcp::Ipv4Addr peer_ip, std::uint16_t port,
+                              rdma::CqPtr send_cq, rdma::CqPtr recv_cq,
+                              QpConnectFn done) {
+  open_conduit(peer_ip, port, VMsg::cm_connect,
+               [this, send_cq, recv_cq, done = std::move(done)](Result<ConduitPtr> c) {
+    if (!c.is_ok()) {
+      done(c.status());
+      return;
+    }
+    auto qp = std::make_shared<VirtualQp>(*this, *c, send_cq, recv_cq);
+    qp->bind();
+    done(qp);
   });
 }
 
 void ContainerNet::sock_connect(tcp::Ipv4Addr peer_ip, std::uint16_t port,
                                 SockConnectFn done) {
-  auto peer = ff_.orchestrator().resolve_ip(peer_ip);
-  if (!peer.is_ok()) {
-    loop().schedule(0, [done = std::move(done), s = peer.status()]() { done(s); });
-    return;
-  }
-  auto conduit = std::make_shared<Conduit>(ff_.next_token(), id(), *peer, peer_ip,
-                                           port, /*initiator=*/true);
-  adopt_conduit(conduit);
-  open_channel_for(conduit, /*rebinding=*/false,
-                   [this, conduit, port, done = std::move(done)](Status st) mutable {
-    if (!st.is_ok()) {
-      conduit->close();
-      done(st);
+  open_conduit(peer_ip, port, VMsg::sock_connect,
+               [done = std::move(done)](Result<ConduitPtr> c) {
+    if (!c.is_ok()) {
+      done(c.status());
       return;
     }
-    conduit->set_on_message([this, conduit,
-                             done = std::move(done)](const WireHeader& h, ByteSpan) mutable {
-      if (h.type == VMsg::sock_accept) {
-        auto sock = std::make_shared<FlowSocket>(*this, conduit);
-        sock->bind();
-        done(sock);
-      } else {
-        conduit->close();
-        done(connection_refused("peer rejected socket on port"));
-      }
-    });
-    WireHeader h;
-    h.type = VMsg::sock_connect;
-    h.port = port;
-    h.token = conduit->token();
-    conduit->send(h);
+    auto sock = std::make_shared<FlowSocket>(*c);
+    sock->bind();
+    done(sock);
   });
 }
 
@@ -258,105 +237,34 @@ void ContainerNet::on_incoming_channel(orch::ContainerId src, agent::ChannelPtr 
   raw->set_on_message([self, src, raw](Buffer&& message) {
     auto net = self.lock();
     if (net == nullptr) return;
-    auto parsed = parse_message(message.view());
-    if (!parsed.is_ok()) {
-      FF_LOG(warn, "core") << "bad first message on incoming channel";
-      return;
-    }
-    net->handle_first_message(src, raw, parsed->header);
+    auto pit = net->pending_incoming_.find(raw);
+    if (pit == net->pending_incoming_.end()) return;  // already routed or torn down
+    agent::ChannelPtr routed = std::move(pit->second);
+    net->pending_incoming_.erase(pit);
+    route_first_frame(*net, *net, src, std::move(routed), message);
   });
 }
 
-void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* raw,
-                                        const WireHeader& header) {
-  auto pit = pending_incoming_.find(raw);
-  if (pit == pending_incoming_.end()) return;  // already routed or torn down
-  agent::ChannelPtr channel = std::move(pit->second);
-  pending_incoming_.erase(pit);
-  switch (header.type) {
-    case VMsg::cm_connect: {
-      auto lit = qp_listeners_.find(header.port);
-      WireHeader reply;
-      reply.token = header.token;
-      if (lit == qp_listeners_.end()) {
-        reply.type = VMsg::cm_reject;
-        channel->send(make_message(reply));
-        channel->close();  // the reply is already in the lane; unhook and drop
-        return;
-      }
-      auto c = ff_.orchestrator().cluster_orch().container(src);
-      auto conduit = std::make_shared<Conduit>(
-          header.token, id(), src, c ? c->ip() : tcp::Ipv4Addr{}, header.port,
-          /*initiator=*/false);
-      // The routing tap consumed the peer's first sequenced message.
-      conduit->sync_rx(header.seq);
-      conduit->attach_channel(std::move(channel));
+OpenResponder::Acceptor ContainerNet::acceptor(VMsg connect, std::uint16_t port) {
+  if (connect == VMsg::cm_connect) {
+    return listener_acceptor(qp_listeners_, port, [this](const ConduitPtr& conduit) {
       auto qp = std::make_shared<VirtualQp>(*this, conduit, create_cq(), create_cq());
       qp->bind();
-      adopt_conduit(conduit);
-      reply.type = VMsg::cm_accept;
-      conduit->send(reply);
-      lit->second(qp);
-      return;
-    }
-    case VMsg::sock_connect: {
-      auto lit = sock_listeners_.find(header.port);
-      WireHeader reply;
-      reply.token = header.token;
-      if (lit == sock_listeners_.end()) {
-        reply.type = VMsg::sock_reject;
-        channel->send(make_message(reply));
-        channel->close();
-        return;
-      }
-      auto c = ff_.orchestrator().cluster_orch().container(src);
-      auto conduit = std::make_shared<Conduit>(
-          header.token, id(), src, c ? c->ip() : tcp::Ipv4Addr{}, header.port,
-          /*initiator=*/false);
-      conduit->sync_rx(header.seq);
-      conduit->attach_channel(std::move(channel));
-      auto sock = std::make_shared<FlowSocket>(*this, conduit);
-      sock->bind();
-      adopt_conduit(conduit);
-      reply.type = VMsg::sock_accept;
-      conduit->send(reply);
-      lit->second(sock);
-      return;
-    }
-    case VMsg::rebind: {
-      auto it = conduits_.find(header.token);
-      if (it == conduits_.end()) {
-        FF_LOG(warn, "core") << "rebind for unknown conduit " << header.token;
-        channel->close();
-        return;
-      }
-      it->second->attach_channel(std::move(channel));
-      return;
-    }
-    case VMsg::bye: {
-      // Peer opened a channel and tore it down before it was routed.
-      // Acknowledge so the peer's close handshake drains immediately.
-      WireHeader reply;
-      reply.type = VMsg::bye_ack;
-      reply.token = header.token;
-      channel->send(make_message(reply));
-      channel->close();
-      return;
-    }
-    default:
-      FF_LOG(warn, "core") << "unexpected first message type "
-                           << static_cast<int>(header.type);
-      channel->close();
+      return qp;
+    });
   }
+  return listener_acceptor(sock_listeners_, port, [](const ConduitPtr& conduit) {
+    auto sock = std::make_shared<FlowSocket>(conduit);
+    sock->bind();
+    return sock;
+  });
 }
 
 // -------------------------------------------------------------- migration
 
 void ContainerNet::handle_self_stopped() {
   ff_.agents().agent_on(container_->host()).unregister_container(id());
-  close_all_conduits();
-  for (auto& [raw, channel] : pending_incoming_) channel->close();
-  pending_incoming_.clear();
+  close_all();
 }
 
 void ContainerNet::handle_peer_stopped(orch::ContainerId peer, CloseReason reason) {
@@ -444,20 +352,23 @@ bool ContainerNet::has_conduit_to(orch::ContainerId peer) const {
   return false;
 }
 
+void ContainerNet::rebind_moved(const ConduitPtr& conduit, const char* after) {
+  if (auto it = stream_hooks_.find(conduit->token()); it != stream_hooks_.end()) {
+    if (it->second.refit) it->second.refit(conduit);
+    return;
+  }
+  open_channel_for(conduit, /*rebinding=*/true, [after](Status st) {
+    if (!st.is_ok()) {
+      FF_LOG(warn, "core") << "re-bind after " << after << " failed: " << st;
+    }
+  });
+}
+
 void ContainerNet::handle_self_moved() {
   register_with_agent();
   for (auto& [token, conduit] : conduits_) {
     conduit->mark_stale();
-    if (!conduit->initiator()) continue;
-    if (auto it = stream_hooks_.find(token); it != stream_hooks_.end()) {
-      if (it->second.refit) it->second.refit(conduit);
-      continue;
-    }
-    open_channel_for(conduit, /*rebinding=*/true, [](Status st) {
-      if (!st.is_ok()) {
-        FF_LOG(warn, "core") << "re-bind after self-move failed: " << st;
-      }
-    });
+    if (conduit->initiator()) rebind_moved(conduit, "self-move");
   }
 }
 
@@ -476,15 +387,7 @@ void ContainerNet::quiesce_stream_state(std::uint64_t token) {
 
 void ContainerNet::resume_migrated_conduit(const ConduitPtr& conduit) {
   if (conduit->closed() || conduit->closing()) return;
-  if (auto it = stream_hooks_.find(conduit->token()); it != stream_hooks_.end()) {
-    if (it->second.refit) it->second.refit(conduit);
-    return;
-  }
-  open_channel_for(conduit, /*rebinding=*/true, [](Status st) {
-    if (!st.is_ok()) {
-      FF_LOG(warn, "core") << "re-bind after planned migration failed: " << st;
-    }
-  });
+  rebind_moved(conduit, "planned migration");
 }
 
 void ContainerNet::freeze_all_conduits() {
@@ -506,16 +409,7 @@ void ContainerNet::handle_peer_moved(orch::ContainerId peer) {
   for (auto& [token, conduit] : conduits_) {
     if (conduit->peer() != peer) continue;
     conduit->mark_stale();
-    if (!conduit->initiator()) continue;
-    if (auto it = stream_hooks_.find(token); it != stream_hooks_.end()) {
-      if (it->second.refit) it->second.refit(conduit);
-      continue;
-    }
-    open_channel_for(conduit, /*rebinding=*/true, [](Status st) {
-      if (!st.is_ok()) {
-        FF_LOG(warn, "core") << "re-bind after peer-move failed: " << st;
-      }
-    });
+    if (conduit->initiator()) rebind_moved(conduit, "peer-move");
   }
 }
 

@@ -13,6 +13,7 @@
 #include <unordered_map>
 
 #include "core/conduit.h"
+#include "core/handshake.h"
 #include "core/socket.h"
 #include "core/vqp.h"
 #include "orchestrator/network_orchestrator.h"
@@ -22,7 +23,8 @@ namespace freeflow::core {
 
 class FreeFlow;
 
-class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
+class ContainerNet : public std::enable_shared_from_this<ContainerNet>,
+                     private OpenResponder {
  public:
   using QpAcceptFn = std::function<void(VirtualQpPtr)>;
   using QpConnectFn = std::function<void(Result<VirtualQpPtr>)>;
@@ -51,6 +53,10 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   // ---- socket surface ---------------------------------------------------
   Status sock_listen(std::uint16_t port, SockAcceptFn on_accept);
   void sock_connect(tcp::Ipv4Addr peer_ip, std::uint16_t port, SockConnectFn done);
+
+  /// Active side's first step for every socket surface: a fresh, not yet
+  /// adopted initiator conduit toward `peer_ip:port`, or the resolve error.
+  Result<ConduitPtr> initiator_conduit(tcp::Ipv4Addr peer_ip, std::uint16_t port);
 
   // ---- identity / plumbing ----------------------------------------------
   [[nodiscard]] orch::ContainerId id() const noexcept { return container_->id(); }
@@ -144,11 +150,22 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
 
  private:
   friend class VirtualQp;
-  friend class FlowSocket;
 
   void on_incoming_channel(orch::ContainerId src, agent::ChannelPtr channel);
-  void handle_first_message(orch::ContainerId src, agent::Channel* channel,
-                            const WireHeader& header);
+
+  // OpenResponder: the passive handshake over agent channels.
+  Acceptor acceptor(VMsg connect, std::uint16_t port) override;
+  void adopt_responder(const ConduitPtr& conduit, const agent::ChannelPtr&) override {
+    adopt_conduit(conduit);
+  }
+  [[nodiscard]] ConduitPtr rebind_target(std::uint64_t token) const override {
+    return find_conduit(token);
+  }
+
+  /// Active side of connect_qp / sock_connect: opens an adopted initiator
+  /// conduit over the selector's transport and runs the open handshake.
+  void open_conduit(tcp::Ipv4Addr peer_ip, std::uint16_t port, VMsg connect,
+                    std::function<void(Result<ConduitPtr>)> done);
 
   /// Resolves, decides, establishes and attaches a channel to `conduit`;
   /// when `rebinding`, the first message on the new channel is a rebind.
@@ -161,8 +178,13 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   /// Re-decides the transport for one (initiator-side) conduit and re-binds
   /// it when the decision differs from what it currently rides.
   void refit_conduit(const ConduitPtr& conduit);
-  /// Closes every conduit via a snapshot (close re-enters conduits_).
-  void close_all_conduits();
+  /// Re-binds an initiator conduit after a move (`after` names it in the
+  /// failure log): stream-adapter conduits through the adapter's refit,
+  /// plain ones through open_channel_for(rebinding).
+  void rebind_moved(const ConduitPtr& conduit, const char* after);
+  /// Closes every conduit via a snapshot (close re-enters conduits_) and
+  /// every incoming channel still awaiting its first frame.
+  void close_all();
 
   FreeFlow& ff_;
   orch::ContainerPtr container_;

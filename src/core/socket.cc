@@ -2,12 +2,14 @@
 
 #include <algorithm>
 
-#include "core/container_net.h"
-
 namespace freeflow::core {
 
-FlowSocket::FlowSocket(ContainerNet& net, ConduitPtr conduit)
-    : net_(net), conduit_(std::move(conduit)) {}
+FlowSocket::FlowSocket(ConduitPtr conduit, telemetry::Counter* rx_rdma_bytes,
+                       telemetry::Counter* rx_tcp_bytes)
+    : conduit_(std::move(conduit)) {
+  if (rx_rdma_bytes != nullptr) ctr_rx_rdma_ = rx_rdma_bytes;
+  if (rx_tcp_bytes != nullptr) ctr_rx_tcp_ = rx_tcp_bytes;
+}
 
 void FlowSocket::bind() {
   auto self = weak_from_this();
@@ -29,9 +31,8 @@ void FlowSocket::bind() {
 void FlowSocket::release_callbacks() noexcept {
   on_data_ = nullptr;
   on_close_ = nullptr;
+  on_control_ = nullptr;
 }
-
-void FlowSocket::set_on_space(VoidFn cb) { conduit_->set_on_space(std::move(cb)); }
 
 Status FlowSocket::send(Buffer data) {
   if (!open_) return failed_precondition("socket closed");
@@ -54,6 +55,7 @@ void FlowSocket::close() {
   conduit_->send(h);
   open_ = false;
   on_data_ = nullptr;
+  on_control_ = nullptr;
   // The fin is queued ahead of the conduit's bye, so the peer sees an
   // orderly close before its side of the conduit is torn down. on_close_
   // stays armed: it reports the handshake's outcome (app_close once the
@@ -65,6 +67,15 @@ void FlowSocket::handle_message(const WireHeader& h, ByteSpan payload) {
   switch (h.type) {
     case VMsg::sock_data:
       bytes_received_ += payload.size();
+      // Split by the transport this chunk actually arrived on — the channel
+      // currently attached is the one that just delivered it.
+      if (conduit_->transport() == orch::Transport::rdma) {
+        bytes_rdma_ += payload.size();
+        ctr_rx_rdma_->inc(payload.size());
+      } else {
+        bytes_tcp_ += payload.size();
+        ctr_rx_tcp_->inc(payload.size());
+      }
       if (on_data_) on_data_(Buffer(payload.data(), payload.size()));
       return;
     case VMsg::sock_fin: {
@@ -75,6 +86,10 @@ void FlowSocket::handle_message(const WireHeader& h, ByteSpan payload) {
       release_callbacks();
       return;
     }
+    case VMsg::rc_offer:
+    case VMsg::rc_answer:
+      if (on_control_) on_control_(h);
+      return;
     default:
       break;  // handshake leftovers are ignored
   }

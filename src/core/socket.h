@@ -2,23 +2,33 @@
 // listen/connect/send shapes, translated by the library onto the verbs-like
 // message conduit (rsocket-style). Applications using sockets get the
 // orchestrator-chosen data plane without a line of code changing.
+//
+// This is the one socket implementation. ContainerNet binds it to conduits
+// over the agent's channels; stream::StreamNet binds the same socket (as the
+// distinct type stream::StreamSocket) to conduits it splices between
+// overlay TCP and per-stream RC QPs. For that binding policy the socket
+// forwards in-band control messages (rc_offer / rc_answer) to a tap and
+// splits its received bytes by the transport each chunk arrived on.
 #pragma once
 
 #include <memory>
 
 #include "core/conduit.h"
+#include "telemetry/metrics.h"
 
 namespace freeflow::core {
-
-class ContainerNet;
 
 class FlowSocket : public std::enable_shared_from_this<FlowSocket> {
  public:
   using DataFn = std::function<void(Buffer&&)>;
   using VoidFn = std::function<void()>;
   using CloseFn = std::function<void(CloseReason)>;
+  using ControlFn = std::function<void(const WireHeader&)>;
 
-  FlowSocket(ContainerNet& net, ConduitPtr conduit);
+  /// `rx_rdma_bytes` / `rx_tcp_bytes` count received bytes by arrival
+  /// transport; null counts into the discard sink.
+  explicit FlowSocket(ConduitPtr conduit, telemetry::Counter* rx_rdma_bytes = nullptr,
+                      telemetry::Counter* rx_tcp_bytes = nullptr);
 
   FlowSocket(const FlowSocket&) = delete;
   FlowSocket& operator=(const FlowSocket&) = delete;
@@ -30,11 +40,14 @@ class FlowSocket : public std::enable_shared_from_this<FlowSocket> {
   [[nodiscard]] bool writable() const noexcept { return open_ && conduit_->writable(); }
 
   void set_on_data(DataFn cb) { on_data_ = std::move(cb); }
-  void set_on_space(VoidFn cb);
+  void set_on_space(VoidFn cb) { conduit_->set_on_space(std::move(cb)); }
   /// Fires once when the stream closes from anywhere but local close():
   /// orderly fin (peer_bye), fault teardown (transport_failed /
   /// host_crashed), or a close handshake that timed out (drain_timeout).
   void set_on_close(CloseFn cb) { on_close_ = std::move(cb); }
+  /// Binding-policy tap: receives the in-band control messages (the stream
+  /// adapter's rc_offer / rc_answer). Without one they are ignored.
+  void set_on_control(ControlFn cb) { on_control_ = std::move(cb); }
 
   void close();
 
@@ -43,6 +56,9 @@ class FlowSocket : public std::enable_shared_from_this<FlowSocket> {
   [[nodiscard]] ConduitPtr conduit() const noexcept { return conduit_; }
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
   [[nodiscard]] std::uint64_t bytes_received() const noexcept { return bytes_received_; }
+  /// Received-byte split by arrival transport (rdma vs everything else).
+  [[nodiscard]] std::uint64_t bytes_rdma() const noexcept { return bytes_rdma_; }
+  [[nodiscard]] std::uint64_t bytes_tcp() const noexcept { return bytes_tcp_; }
 
   // --- migration introspection (delegates to the conduit) ---
   /// Coordinated container moves this stream survived.
@@ -57,7 +73,8 @@ class FlowSocket : public std::enable_shared_from_this<FlowSocket> {
     return conduit_->last_migration_reason();
   }
 
-  /// ContainerNet-internal: wires conduit messages to this socket.
+  /// Binder-internal (ContainerNet, StreamNet): wires conduit messages to
+  /// this socket.
   void bind();
 
   /// Stream chunk size (matches the kernel stack's GSO unit for fairness).
@@ -71,13 +88,17 @@ class FlowSocket : public std::enable_shared_from_this<FlowSocket> {
   /// path keeps socket ownership a DAG.
   void release_callbacks() noexcept;
 
-  ContainerNet& net_;
   ConduitPtr conduit_;
   bool open_ = true;
   DataFn on_data_;
   CloseFn on_close_;
+  ControlFn on_control_;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;
+  std::uint64_t bytes_rdma_ = 0;
+  std::uint64_t bytes_tcp_ = 0;
+  telemetry::Counter* ctr_rx_rdma_ = telemetry::Counter::discard();
+  telemetry::Counter* ctr_rx_tcp_ = telemetry::Counter::discard();
 };
 
 using FlowSocketPtr = std::shared_ptr<FlowSocket>;

@@ -142,6 +142,18 @@ class EventLoop {
   /// Convenience: run_until(now() + duration).
   SimTime run_for(SimDuration duration) { return run_until(now_ + duration); }
 
+  /// Executes events one at a time until `pred()` holds (true), or until
+  /// `budget` of virtual time has passed or the queue is empty (false).
+  /// `pred` is checked before every step, so it may watch any state.
+  template <typename Pred>
+  bool spin_until(Pred&& pred, SimDuration budget) {
+    const SimTime deadline = now_ + budget;
+    for (;;) {
+      if (pred()) return true;
+      if (now_ >= deadline || !step()) return false;
+    }
+  }
+
   /// Executes the next event, if any. Returns false when the queue is empty.
   bool step();
 

@@ -9,6 +9,15 @@ namespace {
 std::uint32_t trace_tid(std::uint64_t token) {
   return static_cast<std::uint32_t>(token);
 }
+
+/// Closes and forgets the half-built RC channel `token` has in `pending`.
+void drop_pending(std::unordered_map<std::uint64_t, RcStreamChannelPtr>& pending,
+                  std::uint64_t token) {
+  if (auto it = pending.find(token); it != pending.end()) {
+    it->second->close();
+    pending.erase(it);
+  }
+}
 }  // namespace
 
 StreamNet::StreamNet(core::ContainerNetPtr net) : net_(std::move(net)) {
@@ -93,13 +102,12 @@ void StreamNet::close_listener(std::uint16_t port) {
 }
 
 void StreamNet::connect(tcp::Ipv4Addr peer_ip, std::uint16_t port, ConnectFn done) {
-  auto peer = ff().orchestrator().resolve_ip(peer_ip);
-  if (!peer.is_ok()) {
-    net_->loop().schedule(0, [done = std::move(done), s = peer.status()]() { done(s); });
+  auto initiated = net_->initiator_conduit(peer_ip, port);
+  if (!initiated.is_ok()) {
+    net_->loop().schedule(0, [done = std::move(done), s = initiated.status()]() { done(s); });
     return;
   }
-  auto conduit = std::make_shared<core::Conduit>(ff().next_token(), net_->id(), *peer,
-                                                 peer_ip, port, /*initiator=*/true);
+  auto conduit = *initiated;
   adopt(conduit);
 
   // `done` has two possible firing sites (dial failure, peer's verdict);
@@ -113,26 +121,20 @@ void StreamNet::connect(tcp::Ipv4Addr peer_ip, std::uint16_t port, ConnectFn don
   };
 
   std::weak_ptr<StreamNet> self = weak_from_this();
-  // Await sock_accept / sock_reject over the fallback connection.
-  conduit->set_on_message([self, conduit, fire](const core::WireHeader& h, ByteSpan) {
+  // The routing (first) frame queues until the dial lands.
+  core::request_open(conduit, core::VMsg::sock_connect,
+                     [self, fire](Result<core::ConduitPtr> accepted) {
     auto net = self.lock();
     if (net == nullptr) return;
-    if (h.type == core::VMsg::sock_accept) {
-      auto sock = net->make_socket(conduit);
-      fire(sock);
-      // The stream is live on the fallback path; upgrade to RDMA now if the
-      // selector allows it.
-      net->refit(conduit);
-    } else {
-      conduit->close();
-      fire(connection_refused("peer rejected stream on port"));
+    if (!accepted.is_ok()) {
+      fire(accepted.status());
+      return;
     }
+    fire(net->make_socket(*accepted));
+    // The stream is live on the fallback path; upgrade to RDMA now if the
+    // selector allows it.
+    net->refit(*accepted);
   });
-  core::WireHeader h;
-  h.type = core::VMsg::sock_connect;
-  h.port = port;
-  h.token = conduit->token();
-  conduit->send(h);  // queued: the routing (first) frame once the dial lands
 
   dial(tcp::Endpoint{net_->ip(), 0}, tcp::Endpoint{peer_ip, port}, 0,
       [self, conduit, fire](Result<tcp::TcpConnection::Ptr> r) {
@@ -165,78 +167,40 @@ void StreamNet::on_incoming_conn(tcp::TcpConnection::Ptr conn) {
   pending_incoming_.emplace(raw, std::move(channel));
   std::weak_ptr<StreamNet> self = weak_from_this();
   raw->set_on_message([self, raw](Buffer&& message) {
-    if (auto net = self.lock()) net->handle_first_message(raw, message);
+    auto net = self.lock();
+    if (net == nullptr) return;
+    auto pit = net->pending_incoming_.find(raw);
+    if (pit == net->pending_incoming_.end()) return;  // already routed or torn down
+    TcpFallbackChannelPtr routed = std::move(pit->second);
+    net->pending_incoming_.erase(pit);
+    const orch::ContainerId peer = routed->peer();
+    core::route_first_frame(*net->net_, *net, peer, std::move(routed), message);
   });
 }
 
-void StreamNet::handle_first_message(agent::Channel* raw, const Buffer& message) {
-  auto pit = pending_incoming_.find(raw);
-  if (pit == pending_incoming_.end()) return;  // already routed or torn down
-  TcpFallbackChannelPtr channel = std::move(pit->second);
-  pending_incoming_.erase(pit);
+core::OpenResponder::Acceptor StreamNet::acceptor(core::VMsg connect, std::uint16_t port) {
+  if (connect != core::VMsg::sock_connect) return nullptr;
+  return core::listener_acceptor(listeners_, port, [this](const core::ConduitPtr& conduit) {
+    return make_socket(conduit);
+  });
+}
 
-  auto parsed = core::parse_message(message.view());
-  if (!parsed.is_ok()) {
-    FF_LOG(warn, "stream") << "bad first frame on incoming stream connection";
-    channel->close();
-    return;
-  }
-  const core::WireHeader& header = parsed->header;
-  switch (header.type) {
-    case core::VMsg::sock_connect: {
-      auto lit = listeners_.find(header.port);
-      core::WireHeader reply;
-      reply.token = header.token;
-      if (lit == listeners_.end()) {
-        reply.type = core::VMsg::sock_reject;
-        channel->send(core::make_message(reply));
-        channel->close();
-        return;
-      }
-      auto c = ff().orchestrator().cluster_orch().container(channel->peer());
-      auto conduit = std::make_shared<core::Conduit>(
-          header.token, net_->id(), channel->peer(), c ? c->ip() : tcp::Ipv4Addr{},
-          header.port, /*initiator=*/false);
-      // The routing tap consumed the peer's first sequenced message.
-      conduit->sync_rx(header.seq);
-      conduit->attach_channel(channel);
-      attached_tcp_[header.token] = channel;
-      adopt(conduit);
-      auto sock = make_socket(conduit);
-      reply.type = core::VMsg::sock_accept;
-      conduit->send(reply);
-      lit->second(sock);
-      return;
-    }
-    case core::VMsg::rebind: {
-      auto it = conduits_.find(header.token);
-      if (it == conduits_.end()) {
-        FF_LOG(warn, "stream") << "rebind for unknown stream " << header.token;
-        channel->close();
-        return;
-      }
-      it->second->attach_channel(channel);
-      attached_tcp_[header.token] = channel;
-      ++fallbacks_;
-      ctr_fallbacks_->inc();
-      telemetry().tracer().instant("stream", "stream_fallback", net_->id(),
-                                   trace_tid(header.token));
-      return;
-    }
-    case core::VMsg::bye: {
-      // Peer opened a connection and tore the stream down before it routed.
-      core::WireHeader reply;
-      reply.type = core::VMsg::bye_ack;
-      reply.token = header.token;
-      channel->send(core::make_message(reply));
-      channel->close();
-      return;
-    }
-    default:
-      FF_LOG(warn, "stream") << "unexpected first frame type "
-                             << static_cast<int>(header.type);
-      channel->close();
-  }
+void StreamNet::adopt_responder(const core::ConduitPtr& conduit,
+                                const agent::ChannelPtr& channel) {
+  attached_tcp_[conduit->token()] = std::static_pointer_cast<TcpFallbackChannel>(channel);
+  adopt(conduit);
+}
+
+core::ConduitPtr StreamNet::rebind_target(std::uint64_t token) const {
+  auto it = conduits_.find(token);
+  return it == conduits_.end() ? nullptr : it->second;
+}
+
+void StreamNet::rebound(std::uint64_t token, const agent::ChannelPtr& channel) {
+  attached_tcp_[token] = std::static_pointer_cast<TcpFallbackChannel>(channel);
+  ++fallbacks_;
+  ctr_fallbacks_->inc();
+  telemetry().tracer().instant("stream", "stream_fallback", net_->id(), trace_tid(token));
 }
 
 // --------------------------------------------------------------- plumbing
@@ -281,28 +245,14 @@ void StreamNet::quiesce_stream(std::uint64_t token) {
   // pre-move placement and must not attach mid-capture. The post-restore
   // refit re-dials (and re-upgrades) against the new placement.
   dialing_.erase(token);
-  if (auto it = pending_upgrade_.find(token); it != pending_upgrade_.end()) {
-    it->second->close();
-    pending_upgrade_.erase(it);
-  }
-  if (auto it = pending_rc_.find(token); it != pending_rc_.end()) {
-    it->second->close();
-    pending_rc_.erase(it);
-  }
+  drop_pending(pending_upgrade_, token);
+  drop_pending(pending_rc_, token);
 }
 
 void StreamNet::drop_stream_state(std::uint64_t token) {
   conduits_.erase(token);
   attached_tcp_.erase(token);
-  dialing_.erase(token);
-  if (auto it = pending_upgrade_.find(token); it != pending_upgrade_.end()) {
-    it->second->close();
-    pending_upgrade_.erase(it);
-  }
-  if (auto it = pending_rc_.find(token); it != pending_rc_.end()) {
-    it->second->close();
-    pending_rc_.erase(it);
-  }
+  quiesce_stream(token);
 }
 
 // ------------------------------------------------------- transport policy
@@ -348,10 +298,7 @@ void StreamNet::refit(const core::ConduitPtr& conduit) {
 void StreamNet::dial_fallback(const core::ConduitPtr& conduit, bool upgrade_after) {
   const std::uint64_t token = conduit->token();
   // A pending upgrade QP is for the path that just died; drop it.
-  if (auto it = pending_upgrade_.find(token); it != pending_upgrade_.end()) {
-    it->second->close();
-    pending_upgrade_.erase(it);
-  }
+  drop_pending(pending_upgrade_, token);
   if (!dialing_.insert(token).second) return;  // one dial in flight per stream
   const std::uint64_t gen = conduit->generation();
   std::weak_ptr<StreamNet> self = weak_from_this();
@@ -480,12 +427,7 @@ void StreamNet::handle_control(const core::ConduitPtr& conduit,
       sw.type = core::VMsg::rc_switch;
       sw.token = token;
       channel->send(core::make_message(sw));
-      conduit->attach_channel(channel);  // closes the TCP side (peer expects it)
-      attached_tcp_.erase(token);
-      ++upgrades_;
-      ctr_upgrades_->inc();
-      telemetry().tracer().instant("stream", "stream_upgrade", net_->id(),
-                                   trace_tid(token));
+      splice_rc(conduit, channel);  // closes the TCP side (peer expects it)
       return;
     }
     default:
@@ -509,12 +451,16 @@ void StreamNet::handle_rc_first_message(std::uint64_t token, const Buffer& messa
     channel->close();
     return;
   }
-  cit->second->attach_channel(channel);  // closes our (already quiet) TCP side
+  splice_rc(cit->second, channel);  // closes our (already quiet) TCP side
+}
+
+void StreamNet::splice_rc(const core::ConduitPtr& conduit, const RcStreamChannelPtr& channel) {
+  const std::uint64_t token = conduit->token();
+  conduit->attach_channel(channel);
   attached_tcp_.erase(token);
   ++upgrades_;
   ctr_upgrades_->inc();
-  telemetry().tracer().instant("stream", "stream_upgrade", net_->id(),
-                               trace_tid(token));
+  telemetry().tracer().instant("stream", "stream_upgrade", net_->id(), trace_tid(token));
 }
 
 }  // namespace freeflow::stream

@@ -30,7 +30,8 @@
 
 namespace freeflow::stream {
 
-class StreamNet : public std::enable_shared_from_this<StreamNet> {
+class StreamNet : public std::enable_shared_from_this<StreamNet>,
+                  private core::OpenResponder {
  public:
   using AcceptFn = std::function<void(StreamSocketPtr)>;
   using ConnectFn = std::function<void(Result<StreamSocketPtr>)>;
@@ -67,7 +68,14 @@ class StreamNet : public std::enable_shared_from_this<StreamNet> {
   void dial(tcp::Endpoint local, tcp::Endpoint remote, int attempt, DialFn cb);
 
   void on_incoming_conn(tcp::TcpConnection::Ptr conn);
-  void handle_first_message(agent::Channel* raw, const Buffer& message);
+  // OpenResponder: the passive handshake over fallback connections.
+  Acceptor acceptor(core::VMsg connect, std::uint16_t port) override;
+  void adopt_responder(const core::ConduitPtr& conduit,
+                       const agent::ChannelPtr& channel) override;
+  [[nodiscard]] core::ConduitPtr rebind_target(std::uint64_t token) const override;
+  /// A rebind arrived on a fresh fallback connection: the stream fell back.
+  void rebound(std::uint64_t token, const agent::ChannelPtr& channel) override;
+
   StreamSocketPtr make_socket(const core::ConduitPtr& conduit);
   void adopt(const core::ConduitPtr& conduit);
 
@@ -77,6 +85,8 @@ class StreamNet : public std::enable_shared_from_this<StreamNet> {
   void start_upgrade(const core::ConduitPtr& conduit);
   void handle_control(const core::ConduitPtr& conduit, const core::WireHeader& h);
   void handle_rc_first_message(std::uint64_t token, const Buffer& message);
+  /// Attaches the connected RC channel: the stream is upgraded.
+  void splice_rc(const core::ConduitPtr& conduit, const RcStreamChannelPtr& channel);
   /// StreamHooks.quiesce: cancel in-flight upgrade/dial state ahead of a
   /// planned-migration capture (the post-restore refit starts clean).
   void quiesce_stream(std::uint64_t token);
@@ -87,8 +97,9 @@ class StreamNet : public std::enable_shared_from_this<StreamNet> {
 
   core::ContainerNetPtr net_;
   std::unordered_map<std::uint16_t, AcceptFn> listeners_;
-  /// Incoming fallback channels awaiting their routing (first) frame;
-  /// owned here like ContainerNet::pending_incoming_ (no self-cycle).
+  /// Incoming fallback channels awaiting their routing (first) frame
+  /// (core::route_first_frame); owned here like ContainerNet's (no
+  /// self-cycle).
   std::unordered_map<agent::Channel*, TcpFallbackChannelPtr> pending_incoming_;
   /// Initiator side: RC channel offered, awaiting the peer's rc_answer.
   std::unordered_map<std::uint64_t, RcStreamChannelPtr> pending_upgrade_;

@@ -15,15 +15,6 @@ void run_to(fabric::Cluster& cluster, SimTime deadline) {
   cluster.loop().run_until(deadline);
 }
 
-bool spin_until(fabric::Cluster& cluster, const std::function<bool()>& pred,
-                SimDuration budget) {
-  const SimTime deadline = cluster.loop().now() + budget;
-  for (;;) {
-    if (pred()) return true;
-    if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-  }
-}
-
 /// Snapshot + finalize resource utilization over a measurement window.
 struct UtilProbe {
   explicit UtilProbe(fabric::Cluster& cluster) : cluster_(cluster) {}
@@ -83,8 +74,8 @@ ThroughputReport drive_tcp_stream(
       senders.push_back(*c);
     });
   }
-  FF_CHECK(spin_until(cluster, [&]() { return senders.size() == pairs.size(); },
-                      10 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return senders.size() == pairs.size(); },
+                                     10 * k_second));
 
   // Closed-loop: keep each send buffer full.
   for (auto& conn : senders) {
@@ -134,7 +125,7 @@ SimDuration tcp_rtt(fabric::Cluster& cluster, tcp::TcpNetwork& net, tcp::Endpoin
     FF_CHECK(c.is_ok());
     client = *c;
   });
-  FF_CHECK(spin_until(cluster, [&]() { return client != nullptr; }, 10 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return client != nullptr; }, 10 * k_second));
 
   std::vector<SimDuration> samples;
   auto got = std::make_shared<std::size_t>(0);
@@ -143,7 +134,7 @@ SimDuration tcp_rtt(fabric::Cluster& cluster, tcp::TcpNetwork& net, tcp::Endpoin
     *got = 0;
     const SimTime t0 = cluster.loop().now();
     FF_CHECK(client->send(Buffer(msg_bytes)).is_ok());
-    FF_CHECK(spin_until(cluster, [&]() { return *got >= msg_bytes; }, 10 * k_second));
+    FF_CHECK(cluster.loop().spin_until([&]() { return *got >= msg_bytes; }, 10 * k_second));
     samples.push_back(cluster.loop().now() - t0);
   }
   return median(std::move(samples));
@@ -205,7 +196,7 @@ SimDuration shm_rtt(fabric::Cluster& cluster, fabric::HostId host_id,
     back.set_receiver([&done](Buffer&&) { done = true; });
     const SimTime t0 = cluster.loop().now();
     FF_CHECK(forth.send(Buffer(msg_bytes).view()).is_ok());
-    FF_CHECK(spin_until(cluster, [&]() { return done; }, k_second));
+    FF_CHECK(cluster.loop().spin_until([&]() { return done; }, k_second));
     samples.push_back(cluster.loop().now() - t0);
   }
   return median(std::move(samples));
@@ -322,7 +313,7 @@ SimDuration rdma_rtt(fabric::Cluster& cluster, rdma::RdmaDevice& a, rdma::RdmaDe
     rdma::SendWr s;
     s.local = {mra, 0, msg_bytes};
     FF_CHECK(qa->post_send(s).is_ok());
-    FF_CHECK(spin_until(cluster, [&]() { return done; }, 10 * k_second));
+    FF_CHECK(cluster.loop().spin_until([&]() { return done; }, 10 * k_second));
     samples.push_back(cluster.loop().now() - t0);
   }
   return median(std::move(samples));
@@ -341,7 +332,7 @@ core::FlowSocketPtr open_ff_socket(fabric::Cluster& cluster, core::ContainerNetP
     FF_CHECK(s.is_ok());
     client = *s;
   });
-  FF_CHECK(spin_until(cluster, [&]() { return client != nullptr; }, 10 * k_second));
+  FF_CHECK(cluster.loop().spin_until([&]() { return client != nullptr; }, 10 * k_second));
   return client;
 }
 }  // namespace
@@ -423,7 +414,7 @@ SimDuration freeflow_rtt(fabric::Cluster& cluster, core::ContainerNetPtr from,
     *got = 0;
     const SimTime t0 = cluster.loop().now();
     FF_CHECK(client->send(Buffer(msg_bytes)).is_ok());
-    FF_CHECK(spin_until(cluster, [&]() { return *got >= msg_bytes; }, 10 * k_second));
+    FF_CHECK(cluster.loop().spin_until([&]() { return *got >= msg_bytes; }, 10 * k_second));
     samples.push_back(cluster.loop().now() - t0);
   }
   return median(std::move(samples));

@@ -15,14 +15,10 @@
 
 namespace freeflow::testing {
 
-/// Runs the loop until `pred()` or the deadline; returns pred() at exit.
+/// EventLoop::spin_until with the integration tests' default budget.
 inline bool run_until(sim::EventLoop& loop, const std::function<bool()>& pred,
                       SimDuration budget = 10 * k_second) {
-  const SimTime deadline = loop.now() + budget;
-  for (;;) {
-    if (pred()) return true;
-    if (loop.now() >= deadline || !loop.step()) return false;
-  }
+  return loop.spin_until(pred, budget);
 }
 
 /// A full-stack environment: cluster + overlay + orchestrators (+ FreeFlow

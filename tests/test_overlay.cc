@@ -73,11 +73,7 @@ struct OverlayFixture : ::testing::Test {
   }
 
   bool run_until(const std::function<bool()>& pred, SimDuration budget = k_second) {
-    const SimTime deadline = cluster.loop().now() + budget;
-    for (;;) {
-      if (pred()) return true;
-      if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-    }
+    return cluster.loop().spin_until(pred, budget);
   }
 
   fabric::Cluster cluster;

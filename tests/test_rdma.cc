@@ -27,11 +27,7 @@ struct RdmaFixture : ::testing::Test {
   }
 
   bool run_until(const std::function<bool()>& pred, SimDuration budget = k_second) {
-    const SimTime deadline = cluster.loop().now() + budget;
-    for (;;) {
-      if (pred()) return true;
-      if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-    }
+    return cluster.loop().spin_until(pred, budget);
   }
 
   static std::size_t drain(CompletionQueue& cq, std::vector<WorkCompletion>& out) {

@@ -273,6 +273,141 @@ TEST(StreamAdapter, UntrustedPairStaysOnFallback) {
   EXPECT_EQ(st->client->bytes_rdma(), 0u);
 }
 
+// The received-byte split is also exported per stream: the registry's
+// stream/<token>/c<id>/bytes_{rdma,tcp} counters (read by perfbench's
+// stream.rdma_byte_share) must equal the socket's own accessors on a stream
+// that carried bytes over both transports.
+TEST(StreamAdapter, ByteSplitCountersMatchSocket) {
+  Env env(2);
+  auto p = attach_pair(env, 0, 1);
+  StreamSocketPtr server;
+  ASSERT_TRUE(p.net_b->listen(9500, [&](StreamSocketPtr s) { server = s; }).is_ok());
+  StreamSocketPtr client;
+  p.net_a->connect(p.b->ip(), 9500, [&](Result<StreamSocketPtr> s) {
+    ASSERT_TRUE(s.is_ok()) << s.status();
+    client = *s;
+    // Sent before the upgrade lands: rides the overlay-TCP fallback.
+    ASSERT_TRUE(client->send(Buffer(256 * 1024)).is_ok());
+  });
+  ASSERT_TRUE(env.wait([&]() {
+    return server != nullptr && server->bytes_received() == 256 * 1024 &&
+           client->transport() == orch::Transport::rdma &&
+           server->transport() == orch::Transport::rdma;
+  }));
+  ASSERT_TRUE(client->send(Buffer(1024 * 1024)).is_ok());
+  ASSERT_TRUE(env.wait([&]() { return server->bytes_received() == 1280 * 1024; }));
+
+  const auto& metrics = env.cluster.telemetry().metrics();
+  for (const auto& [sock, id] : {std::pair{server, p.b->id()}, std::pair{client, p.a->id()}}) {
+    const std::string prefix = "stream/" + std::to_string(sock->conduit()->token()) + "/c" +
+                               std::to_string(id) + "/";
+    EXPECT_EQ(metrics.counter_value(prefix + "bytes_rdma"), sock->bytes_rdma());
+    EXPECT_EQ(metrics.counter_value(prefix + "bytes_tcp"), sock->bytes_tcp());
+    EXPECT_EQ(sock->bytes_rdma() + sock->bytes_tcp(), sock->bytes_received());
+  }
+  EXPECT_GT(server->bytes_rdma(), 0u);
+  EXPECT_GT(server->bytes_tcp(), 0u);
+}
+
+// ------------------------------------------- the socket surface, twice
+
+// ContainerNet and StreamNet hand out the same socket class through the same
+// open handshake, so the socket-surface contract is checked on both.
+enum class Surface { container_net, stream_net };
+
+struct SocketSurface : ::testing::TestWithParam<Surface> {
+  using AcceptFn = std::function<void(core::FlowSocketPtr)>;
+  using ConnectFn = std::function<void(Result<core::FlowSocketPtr>)>;
+
+  SocketSurface() : env(2), p(attach_pair(env, 0, 1)) {}
+
+  Status listen(std::uint16_t port, AcceptFn on_accept) {
+    if (GetParam() == Surface::container_net) {
+      return p.net_b->net().sock_listen(port, std::move(on_accept));
+    }
+    return p.net_b->listen(port, [fn = std::move(on_accept)](StreamSocketPtr s) { fn(s); });
+  }
+
+  void connect(std::uint16_t port, ConnectFn done) {
+    if (GetParam() == Surface::container_net) {
+      p.net_a->net().sock_connect(p.b->ip(), port, std::move(done));
+      return;
+    }
+    p.net_a->connect(p.b->ip(), port, [fn = std::move(done)](Result<StreamSocketPtr> s) {
+      if (s.is_ok()) {
+        fn(core::FlowSocketPtr(*s));
+      } else {
+        fn(s.status());
+      }
+    });
+  }
+
+  /// An established socket pair, on RDMA (StreamNet: once upgraded).
+  std::pair<core::FlowSocketPtr, core::FlowSocketPtr> socket_pair(std::uint16_t port) {
+    core::FlowSocketPtr client, server;
+    EXPECT_TRUE(listen(port, [&](core::FlowSocketPtr s) { server = s; }).is_ok());
+    connect(port, [&](Result<core::FlowSocketPtr> s) {
+      ASSERT_TRUE(s.is_ok()) << s.status();
+      client = *s;
+    });
+    EXPECT_TRUE(env.wait([&]() {
+      return client != nullptr && server != nullptr &&
+             client->transport() == orch::Transport::rdma &&
+             server->transport() == orch::Transport::rdma;
+    }));
+    return {client, server};
+  }
+
+  Env env;
+  Pair p;
+};
+
+TEST_P(SocketSurface, ConnectToMissingPortRefused) {
+  Status result;
+  bool done = false;
+  connect(1234, [&](Result<core::FlowSocketPtr> s) {
+    result = s.status();
+    done = true;
+  });
+  EXPECT_TRUE(env.wait([&]() { return done; }));
+  EXPECT_EQ(result.code(), Errc::connection_refused);
+}
+
+TEST_P(SocketSurface, DoubleListenOnPortFails) {
+  ASSERT_TRUE(listen(5000, [](core::FlowSocketPtr) {}).is_ok());
+  EXPECT_EQ(listen(5000, [](core::FlowSocketPtr) {}).code(), Errc::already_exists);
+}
+
+TEST_P(SocketSurface, CloseReachesPeerAsPeerBye) {
+  auto [client, server] = socket_pair(5000);
+  bool closed = false;
+  core::CloseReason reason{};
+  server->set_on_close([&](core::CloseReason r) {
+    reason = r;
+    closed = true;
+  });
+  client->close();
+  EXPECT_TRUE(env.wait([&]() { return closed; }));
+  EXPECT_EQ(reason, core::CloseReason::peer_bye);
+  EXPECT_FALSE(server->is_open());
+}
+
+TEST_P(SocketSurface, SendAfterCloseFails) {
+  auto [client, server] = socket_pair(5000);
+  client->close();
+  EXPECT_EQ(client->send(Buffer(1)).code(), Errc::failed_precondition);
+  EXPECT_TRUE(env.wait([&]() { return !server->is_open(); }));
+  EXPECT_EQ(server->send(Buffer(1)).code(), Errc::failed_precondition);
+}
+
+INSTANTIATE_TEST_SUITE_P(Surfaces, SocketSurface,
+                         ::testing::Values(Surface::container_net, Surface::stream_net),
+                         [](const ::testing::TestParamInfo<Surface>& param_info) {
+                           return param_info.param == Surface::container_net
+                                      ? "ContainerNet"
+                                      : "StreamNet";
+                         });
+
 // --------------------------------------------------------- determinism
 
 struct StreamRun {

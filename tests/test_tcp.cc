@@ -76,11 +76,7 @@ struct TcpFixture : ::testing::Test {
   }
 
   bool run_until(const std::function<bool()>& pred, SimDuration budget = 5 * k_second) {
-    const SimTime deadline = cluster.loop().now() + budget;
-    for (;;) {
-      if (pred()) return true;
-      if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-    }
+    return cluster.loop().spin_until(pred, budget);
   }
 
   std::pair<TcpConnection::Ptr, TcpConnection::Ptr> connect_pair(std::uint16_t port) {

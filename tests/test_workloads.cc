@@ -251,11 +251,7 @@ TEST_F(WorkloadFixture, KvWorksOverPlainTcpAdapter) {
     client = std::make_shared<KvClient>(std::make_shared<TcpStream>(*c));
   });
   auto run = [&](const std::function<bool()>& pred) {
-    const SimTime deadline = cluster.loop().now() + 30 * k_second;
-    for (;;) {
-      if (pred()) return true;
-      if (cluster.loop().now() >= deadline || !cluster.loop().step()) return false;
-    }
+    return cluster.loop().spin_until(pred, 30 * k_second);
   };
   ASSERT_TRUE(run([&]() { return client != nullptr; }));
   bool ok = false;
