@@ -1,6 +1,7 @@
 #include "agent/agent.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.h"
 #include "fabric/control.h"
@@ -59,37 +60,27 @@ Agent::Agent(AgentFabric& fabric, fabric::Host& host)
 
   // TCP trunk service: peer agents connect here when NICs lack bypass.
   // Under the single-dialer rule only the lower host id dials, so an
-  // inbound connection always lands on the pair's higher id — where any
-  // local trunk for the key is either the conn-less pending half of our own
-  // in-flight setup (attach and complete it) or a fully established trunk
-  // whose dialer abandoned its old connection and re-dialed (freshest
-  // connection wins).
+  // inbound connection always lands on the pair's higher id.
   const tcp::Endpoint ep{AgentFabric::agent_ip(host_.id()), fabric_.config().tcp_port};
   const Status listening =
       fabric_.underlay().listen(ep, [this](tcp::TcpConnection::Ptr conn) {
-        const fabric::HostId peer =
-            AgentFabric::host_of_agent_ip(conn->flow().remote.ip);
-        const TrunkKey key{peer, orch::Transport::tcp_host};
-        if (auto sit = setups_.find(key); sit != setups_.end()) {
-          auto tit = trunks_.find(key);
-          if (tit != trunks_.end()) {
-            auto pending = std::static_pointer_cast<TcpTrunk>(tit->second);
-            if (!pending->connected()) {
-              pending->attach(std::move(conn));
-              on_setup_result(key, sit->second.gen,
-                              std::static_pointer_cast<Trunk>(pending));
-            }
-            return;  // duplicate SYN against a live setup: drop it
-          }
-          // Setup in backoff (no pending half right now): fall through and
-          // adopt passively; the next attempt finds the established trunk.
+        const TrunkKey key{AgentFabric::host_of_agent_ip(conn->flow().remote.ip),
+                           orch::Transport::tcp_host};
+        const Wiring remote{0, std::move(conn)};
+        // Our own setup parked a connection-less half and asked for this
+        // dial-back: the connection completes it.
+        auto sit = setups_.find(key);
+        if (auto tit = trunks_.find(key); sit != setups_.end() && tit != trunks_.end() &&
+                                          !lane_last_rx_.contains(key)) {
+          const std::shared_ptr<Trunk> pending = tit->second;
+          finish_setup(key, sit->second.gen, pending, nullptr, nullptr, remote);
+          return;
         }
-        if (trunks_.contains(key)) retire_trunk_half(key);
-        auto trunk = std::make_shared<TcpTrunk>(host_.loop());
-        trunk->attach(std::move(conn));
-        adopt_trunk(key, std::move(trunk), /*established=*/true);
-        if (auto sit = setups_.find(key); sit != setups_.end()) {
-          on_setup_result(key, sit->second.gen, trunks_[key]);
+        // The peer's own setup dialed. A setup of ours in backoff (no half
+        // right now) completes with the half this builds.
+        std::shared_ptr<Trunk> half = join_or_build_half(key, remote);
+        if (sit = setups_.find(key); sit != setups_.end()) {
+          finish_setup(key, sit->second.gen, half, nullptr, nullptr, {});
         }
       });
   FF_CHECK(listening.is_ok());
@@ -230,8 +221,7 @@ void Agent::establish_shm(orch::ContainerId src, orch::ContainerId dst,
 void Agent::establish_remote(orch::ContainerId src, orch::ContainerId dst,
                              fabric::HostId dst_host, orch::Transport transport,
                              EstablishFn done) {
-  Agent& peer = fabric_.agent_on(dst_host);  // ensure the peer agent runs
-  (void)peer;
+  fabric_.agent_on(dst_host);  // ensure the peer agent runs
   with_trunk(dst_host, transport,
              [this, src, dst, dst_host, transport,
               done = std::move(done)](Result<Trunk*> trunk) mutable {
@@ -260,14 +250,7 @@ void Agent::establish_remote(orch::ContainerId src, orch::ContainerId dst,
                         done(st);
                         return;
                       }
-                      auto to_agent = make_lane(container_account(src), &account_);
-                      auto from_agent = make_lane(&account_, container_account(src));
-                      auto ep = std::make_shared<RemoteChannelEndpoint>(
-                          *this, src, tenant_of(src), dst, dst_host, id, transport,
-                          to_agent, from_agent);
-                      wire_outbound(ep);
-                      endpoints_.emplace(id, ep);
-                      done(ChannelPtr(ep));
+                      done(ChannelPtr(open_endpoint(src, dst, dst_host, id, transport)));
                     });
               });
         });
@@ -285,18 +268,51 @@ void Agent::accept_channel(orch::ContainerId src, orch::ContainerId dst,
   }
   // For trunked transports the B-side trunk was created during trunk setup
   // (rdma/dpdk) or at TCP accept; relay_outbound finds it by key.
-  auto to_agent = make_lane(container_account(dst), &account_);
-  auto from_agent = make_lane(&account_, container_account(dst));
-  auto ep = std::make_shared<RemoteChannelEndpoint>(*this, dst, tenant_of(dst), src,
-                                                    src_host, channel_id, transport,
-                                                    to_agent, from_agent);
-  wire_outbound(ep);
-  endpoints_.emplace(channel_id, ep);
+  auto ep = open_endpoint(dst, src, src_host, channel_id, transport);
   it->second(src, ep);
   reply(ok_status());
 }
 
 // ------------------------------------------------------------------- trunks
+
+struct Agent::TrunkKind {
+  orch::Transport transport;
+  const char* lane;  ///< names the lane in "<lane> lane died during trunk setup"
+  bool fabric::NicCapabilities::*capability;  ///< null: every NIC can
+  const char* lacks;  ///< completes "<local|peer> NIC ..." when it cannot
+  /// A fresh, unwired half toward `peer` on `self`.
+  std::shared_ptr<Trunk> (*build)(Agent& self, fabric::HostId peer);
+  void (Agent::*connect)(const TrunkKey& key, std::uint64_t gen, std::shared_ptr<Trunk> half);
+
+  /// The capability check, run on each end of the handshake in turn.
+  [[nodiscard]] Status refusal(const fabric::Host& host, const char* side) const {
+    if (capability == nullptr || host.nic().capabilities().*capability) return ok_status();
+    return failed_precondition(std::string(side) + " NIC " + lacks);
+  }
+};
+
+const Agent::TrunkKind& Agent::kind_of(orch::Transport transport) {
+  using Half = std::shared_ptr<Trunk>;
+  static const TrunkKind kinds[] = {
+      {orch::Transport::rdma, "rdma", &fabric::NicCapabilities::rdma, "is not RDMA-capable",
+       [](Agent& self, fabric::HostId) -> Half {
+         return std::make_shared<RdmaTrunk>(self.rdma_device(), self.account_,
+                                            self.fabric_.config());
+       },
+       &Agent::exchange_wiring},
+      {orch::Transport::dpdk, "dpdk", &fabric::NicCapabilities::dpdk, "does not support DPDK",
+       [](Agent& self, fabric::HostId peer) -> Half {
+         return std::make_shared<DpdkTrunk>(self.dpdk_port(), peer);
+       },
+       &Agent::exchange_wiring},
+      {orch::Transport::tcp_host, "tcp", nullptr, "",
+       [](Agent&, fabric::HostId) -> Half { return std::make_shared<TcpTrunk>(); }, &Agent::dial},
+  };
+  const TrunkKind* kind = std::find_if(std::begin(kinds), std::end(kinds),
+                                       [&](const TrunkKind& k) { return k.transport == transport; });
+  FF_CHECK(kind != std::end(kinds));  // establish() admits only trunked transports here
+  return *kind;
+}
 
 void Agent::with_trunk(fabric::HostId peer, orch::Transport transport,
                        std::function<void(Result<Trunk*>)> ready) {
@@ -334,22 +350,17 @@ void Agent::start_setup_attempt(const TrunkKey& key) {
           on_setup_result(key, gen, timed_out("trunk setup attempt timed out"));
         });
   }
-  auto done = [this, key, gen](Result<std::shared_ptr<Trunk>> result) {
-    on_setup_result(key, gen, std::move(result));
-  };
-  switch (key.transport) {
-    case orch::Transport::rdma:
-      setup_rdma_trunk(key.peer, std::move(done));
-      break;
-    case orch::Transport::dpdk:
-      setup_dpdk_trunk(key.peer, std::move(done));
-      break;
-    case orch::Transport::tcp_host:
-      setup_tcp_trunk(key.peer, std::move(done));
-      break;
-    default:
-      on_setup_result(key, gen, invalid_argument("transport has no trunk"));
+  const TrunkKind& kind = kind_of(key.transport);
+  if (Status refused = kind.refusal(host_, "local"); !refused.is_ok()) {
+    on_setup_result(key, gen, std::move(refused));
+    return;
   }
+  std::shared_ptr<Trunk> half = kind.build(*this, key.peer);
+  // Pending adoption: the half goes into the map *before* the handshake
+  // leaves, so an opposite-direction setup arriving mid-flight finds and
+  // joins it instead of building a rival (sends queue until it is wired).
+  adopt_trunk(key, half, /*established=*/false);
+  (this->*kind.connect)(key, gen, std::move(half));
 }
 
 void Agent::on_setup_result(const TrunkKey& key, std::uint64_t gen,
@@ -376,7 +387,7 @@ void Agent::on_setup_result(const TrunkKey& key, std::uint64_t gen,
   }
   setup.last_error = result.status();
   ++setup.gen;  // invalidate every other callback still in flight for this attempt
-  abandon_pending_trunk(key);
+  if (!lane_last_rx_.contains(key)) retire_trunk_half(key);  // the attempt's pending half
   const RetryPolicy& policy = fabric_.config().trunk_retry;
   if (!RetryPolicy::retryable(setup.last_error) ||
       setup.attempt >= policy.max_attempts) {
@@ -397,12 +408,6 @@ void Agent::on_setup_result(const TrunkKey& key, std::uint64_t gen,
                         << ", retrying in " << delay << "ns";
   setup.backoff = host_.loop().schedule_cancellable(
       delay, [this, key]() { start_setup_attempt(key); });
-}
-
-void Agent::fail_setup_attempt(const TrunkKey& key, Status error) {
-  auto it = setups_.find(key);
-  if (it == setups_.end()) return;
-  on_setup_result(key, it->second.gen, std::move(error));
 }
 
 bool Agent::trunk_established(fabric::HostId peer, orch::Transport transport) const {
@@ -476,202 +481,129 @@ void Agent::retire_trunk_half(const TrunkKey& key) {
   fail_endpoints_on(key.peer, key.transport);
 }
 
-void Agent::abandon_pending_trunk(const TrunkKey& key) {
-  if (lane_last_rx_.contains(key)) return;  // established: not an abandoned half
-  retire_trunk_half(key);
-}
-
 void Agent::note_lane_rx(const TrunkKey& key) {
   auto it = lane_last_rx_.find(key);
   if (it != lane_last_rx_.end()) it->second = host_.loop().now();
 }
 
-void Agent::setup_rdma_trunk(fabric::HostId peer, SetupDoneFn done) {
-  if (!host_.nic().capabilities().rdma) {
-    done(failed_precondition("local NIC is not RDMA-capable"));
-    return;
-  }
-  const TrunkKey key{peer, orch::Transport::rdma};
-  auto trunk = std::make_shared<RdmaTrunk>(rdma_device(), account_, fabric_.config());
-  // Pending adoption: the half-trunk goes into the map *before* the
-  // handshake leaves, so an opposite-direction setup arriving mid-flight
-  // finds and joins it instead of building a rival (sends queue safely —
-  // the pump no-ops until the QP is ready).
-  adopt_trunk(key, trunk, /*established=*/false);
-
-  Agent* peer_agent = &fabric_.agent_on(peer);
-  const fabric::HostId self_host = host_.id();
-  const rdma::QpNum my_qp = trunk->qp()->num();
-
-  fabric::send_control(host_, peer, k_ctrl_bytes,
-                       [this, key, peer_agent, trunk, self_host, my_qp, peer, done]() {
-    if (!peer_agent->host().nic().capabilities().rdma) {
-      fabric::send_control(peer_agent->host(), self_host, k_ctrl_bytes, [done]() {
-        done(failed_precondition("peer NIC is not RDMA-capable"));
-      });
+void Agent::exchange_wiring(const TrunkKey& key, std::uint64_t gen,
+                            std::shared_ptr<Trunk> half) {
+  Agent* peer = &fabric_.agent_on(key.peer);
+  fabric::send_control(host_, key.peer, k_ctrl_bytes,
+                       [this, key, gen, half, peer, mine = half->wiring()]() {
+    const fabric::HostId self = host_.id();
+    if (Status refused = kind_of(key.transport).refusal(peer->host(), "peer");
+        !refused.is_ok()) {
+      fabric::send_control(peer->host(), self, k_ctrl_bytes,
+                           [this, key, gen, refused]() { on_setup_result(key, gen, refused); });
       return;
     }
-    // Peer side: get-or-create its trunk toward us and wire its QP. Finding
-    // a pending half here IS the bidirectional race — the peer's own setup
-    // is in flight toward us — and both handshakes converge on the same two
-    // QPs (each side connects its QP at most once, whichever control
-    // message lands first).
-    const TrunkKey peer_key{self_host, orch::Transport::rdma};
-    std::shared_ptr<RdmaTrunk> peer_trunk;
-    if (auto it = peer_agent->trunks_.find(peer_key); it != peer_agent->trunks_.end()) {
-      peer_trunk = std::static_pointer_cast<RdmaTrunk>(it->second);
-      if (peer_trunk->qp()->state() == rdma::QpState::ready &&
-          peer_trunk->qp()->remote_qp() != my_qp) {
-        // Stale half: its QP is wired to a QP we already abandoned (an
-        // earlier attempt that timed out). A connected QP cannot be
-        // re-pointed, so replace the half outright.
-        peer_agent->retire_trunk_half(peer_key);
-        peer_trunk = nullptr;
-      } else if (peer_agent->setups_.contains(peer_key)) {
-        peer_agent->ctr_setup_races_->inc();
-      }
-    }
-    if (peer_trunk == nullptr) {
-      peer_trunk = std::make_shared<RdmaTrunk>(peer_agent->rdma_device(),
-                                               peer_agent->account_,
-                                               peer_agent->fabric_.config());
-      // Passive half: established right away — if we die before finishing,
-      // the peer's heartbeat monitor reaps it.
-      peer_agent->adopt_trunk(peer_key, peer_trunk, /*established=*/true);
-    }
-    peer_trunk->connect(self_host, my_qp);
-    const rdma::QpNum peer_qp = peer_trunk->qp()->num();
-    fabric::send_control(peer_agent->host(), self_host, k_ctrl_bytes,
-                         [this, key, trunk, peer_agent, peer_key, peer_trunk, peer,
-                          peer_qp, done]() {
-      // The lane can die while this handshake is in flight: whichever side
-      // was declared dead retired its half, so an identity mismatch on
-      // either end fails the attempt (the retry driver backs off and tries
-      // again; wiring a zombie would be worse).
-      auto pit = peer_agent->trunks_.find(peer_key);
-      if (pit == peer_agent->trunks_.end() || pit->second != peer_trunk) {
-        done(unavailable("rdma lane died during trunk setup"));
-        return;
-      }
-      auto lit = trunks_.find(key);
-      if (lit == trunks_.end() || lit->second != trunk) {
-        done(unavailable("rdma lane died during trunk setup"));
-        return;
-      }
-      trunk->connect(peer, peer_qp);
-      done(std::static_pointer_cast<Trunk>(trunk));
+    auto peer_half = peer->join_or_build_half(TrunkKey{self, key.transport}, mine);
+    fabric::send_control(peer->host(), self, k_ctrl_bytes,
+                         [this, key, gen, half, peer, peer_half, theirs = peer_half->wiring()]() {
+      finish_setup(key, gen, half, peer, peer_half, theirs);
     });
   });
 }
 
-void Agent::setup_dpdk_trunk(fabric::HostId peer, SetupDoneFn done) {
-  if (!host_.nic().capabilities().dpdk) {
-    done(failed_precondition("local NIC does not support DPDK"));
-    return;
-  }
-  dpdk_port().start();
-  const TrunkKey key{peer, orch::Transport::dpdk};
-  auto trunk = std::static_pointer_cast<Trunk>(std::make_shared<DpdkTrunk>(dpdk_port(), peer));
-  adopt_trunk(key, trunk, /*established=*/false);  // pending adoption (see rdma)
-  Agent* peer_agent = &fabric_.agent_on(peer);
-  const fabric::HostId self_host = host_.id();
-  fabric::send_control(host_, peer, k_ctrl_bytes,
-                       [this, key, trunk, peer_agent, self_host, peer, done]() {
-    if (!peer_agent->host().nic().capabilities().dpdk) {
-      fabric::send_control(peer_agent->host(), self_host, k_ctrl_bytes, [done]() {
-        done(failed_precondition("peer NIC does not support DPDK"));
-      });
-      return;
-    }
-    peer_agent->dpdk_port().start();
-    // Peer-side trunk toward us so its containers can answer. An existing
-    // pending half is the peer's own opposite-direction setup: join it.
-    const TrunkKey peer_key{self_host, orch::Transport::dpdk};
-    std::shared_ptr<Trunk> peer_trunk;
-    if (auto it = peer_agent->trunks_.find(peer_key); it != peer_agent->trunks_.end()) {
-      peer_trunk = it->second;
-      if (peer_agent->setups_.contains(peer_key)) {
-        peer_agent->ctr_setup_races_->inc();
-      }
-    } else {
-      peer_trunk = std::make_shared<DpdkTrunk>(peer_agent->dpdk_port(), self_host);
-      peer_agent->adopt_trunk(peer_key, peer_trunk, /*established=*/true);
-    }
-    fabric::send_control(peer_agent->host(), self_host, k_ctrl_bytes,
-                         [this, key, trunk, peer_agent, peer_key, peer_trunk, done]() {
-      // Same mid-setup death race as the RDMA trunk: if either half was
-      // declared dead while the handshake was in flight, fail the attempt.
-      auto pit = peer_agent->trunks_.find(peer_key);
-      if (pit == peer_agent->trunks_.end() || pit->second != peer_trunk) {
-        done(unavailable("dpdk lane died during trunk setup"));
-        return;
-      }
-      auto lit = trunks_.find(key);
-      if (lit == trunks_.end() || lit->second != trunk) {
-        done(unavailable("dpdk lane died during trunk setup"));
-        return;
-      }
-      done(trunk);
-    });
-  });
-}
-
-void Agent::setup_tcp_trunk(fabric::HostId peer, SetupDoneFn done) {
-  const TrunkKey key{peer, orch::Transport::tcp_host};
-  Agent* peer_agent = &fabric_.agent_on(peer);  // peer must be listening
-  auto trunk = std::make_shared<TcpTrunk>(host_.loop());
-  adopt_trunk(key, std::static_pointer_cast<Trunk>(trunk), /*established=*/false);
-  if (host_.id() < peer) {
+void Agent::dial(const TrunkKey& key, std::uint64_t gen, std::shared_ptr<Trunk> half) {
+  Agent* peer = &fabric_.agent_on(key.peer);  // the peer must be listening
+  if (host_.id() < key.peer) {
     // Single-dialer rule: the lower host id owns the connection. The
     // higher side never dials, so simultaneous setups can no longer cross
     // two connections (each side attaching its own dial while the rival
     // accept is dropped).
     const tcp::Endpoint local{AgentFabric::agent_ip(host_.id()), 0};
-    const tcp::Endpoint remote{AgentFabric::agent_ip(peer), fabric_.config().tcp_port};
-    fabric_.underlay().connect(local, remote,
-                               [this, key, trunk, done](Result<tcp::TcpConnection::Ptr> conn) {
+    const tcp::Endpoint remote{AgentFabric::agent_ip(key.peer), fabric_.config().tcp_port};
+    fabric_.underlay().connect(local, remote, [this, key, gen, half](
+                                                  Result<tcp::TcpConnection::Ptr> conn) {
       if (!conn.is_ok()) {
-        done(conn.status());
+        on_setup_result(key, gen, conn.status());
         return;
       }
-      auto lit = trunks_.find(key);
-      if (lit == trunks_.end() || lit->second != std::static_pointer_cast<Trunk>(trunk)) {
-        done(unavailable("tcp lane died during trunk setup"));
-        return;
-      }
-      trunk->attach(std::move(conn.value()));
-      done(std::static_pointer_cast<Trunk>(trunk));
+      finish_setup(key, gen, half, nullptr, nullptr, Wiring{0, std::move(conn.value())});
     });
     return;
   }
-  // Higher host id: ask the peer (the connection owner) to dial us; our
-  // listener attaches the inbound connection to the pending half above and
-  // completes this setup (see the listen handler in the ctor). The peer
-  // joins its own in-flight setup if one is already running — that is the
-  // serialization point for the bidirectional TCP race.
-  const fabric::HostId self_host = host_.id();
-  fabric::send_control(host_, peer, k_ctrl_bytes, [peer_agent, self_host]() {
-    peer_agent->with_trunk(self_host, orch::Transport::tcp_host,
-                           [](Result<Trunk*>) {});
+  // Higher host id: our half stays connection-less until the peer (the
+  // connection owner) dials us; the listener then completes this attempt.
+  // The peer joins its own in-flight setup if one is already running: that
+  // is the serialization point for the bidirectional TCP race.
+  const fabric::HostId self = host_.id();
+  fabric::send_control(host_, key.peer, k_ctrl_bytes, [peer, self]() {
+    peer->with_trunk(self, orch::Transport::tcp_host, [](Result<Trunk*>) {});
   });
+}
+
+std::shared_ptr<Trunk> Agent::join_or_build_half(const TrunkKey& key, const Wiring& remote) {
+  if (auto it = trunks_.find(key); it != trunks_.end()) {
+    if (!it->second->wired_elsewhere(remote)) {
+      // Join it. With our own setup for the key in flight this IS the
+      // bidirectional race: both handshakes converge on the same two halves.
+      if (setups_.contains(key)) ctr_setup_races_->inc();
+      it->second->connect(key.peer, remote);
+      return it->second;
+    }
+    // Stale half: wired to something the other end already abandoned (an
+    // earlier attempt that timed out). Replace it outright.
+    retire_trunk_half(key);
+  }
+  std::shared_ptr<Trunk> half = kind_of(key.transport).build(*this, key.peer);
+  half->connect(key.peer, remote);
+  // Passive half: established right away. If the other end dies before
+  // finishing, our heartbeat monitor reaps it.
+  adopt_trunk(key, half, /*established=*/true);
+  return half;
+}
+
+void Agent::finish_setup(const TrunkKey& key, std::uint64_t gen,
+                         const std::shared_ptr<Trunk>& half, Agent* peer,
+                         const std::shared_ptr<Trunk>& peer_half, const Wiring& remote) {
+  // Whichever side was declared dead while the handshake was in flight
+  // retired its half, so an identity mismatch on either end fails the
+  // attempt (the retry driver backs off and tries again; wiring a zombie
+  // would be worse). TCP passes no peer half: the far end's listener owns it.
+  const auto registered = [](const Agent& agent, const TrunkKey& k,
+                             const std::shared_ptr<Trunk>& trunk) {
+    auto it = agent.trunks_.find(k);
+    return it != agent.trunks_.end() && it->second == trunk;
+  };
+  if ((peer != nullptr &&
+       !registered(*peer, TrunkKey{host_.id(), key.transport}, peer_half)) ||
+      !registered(*this, key, half)) {
+    on_setup_result(key, gen,
+                    unavailable(std::string(kind_of(key.transport).lane) +
+                                " lane died during trunk setup"));
+    return;
+  }
+  half->connect(key.peer, remote);
+  on_setup_result(key, gen, half);
 }
 
 // -------------------------------------------------------------------- relay
 
-void Agent::wire_outbound(const std::shared_ptr<RemoteChannelEndpoint>& ep) {
-  // Captures routing fields by value plus the agent itself — never the
-  // endpoint or the lane — so records queued in the lane (the closing bye
-  // included) still relay after the endpoint is destroyed. The agent
-  // co-owns the lane (outbound_lanes_) to keep those queued records alive;
-  // the hook hands back that ownership after the final record drains.
-  const std::uint64_t id = ep->channel_id();
-  outbound_lanes_[id] = ep->outbound_lane();
-  ep->outbound_lane()->set_receiver(
-      [this, src = ep->self(), dst = ep->peer(), peer_host = ep->peer_host(),
-       id, transport = ep->transport()](Buffer&& msg) {
-        relay_outbound(src, dst, peer_host, id, transport, std::move(msg));
-        drop_drained_lane(id);
-      });
+std::shared_ptr<RemoteChannelEndpoint> Agent::open_endpoint(orch::ContainerId self,
+                                                             orch::ContainerId peer,
+                                                             fabric::HostId peer_host,
+                                                             std::uint64_t id,
+                                                             orch::Transport transport) {
+  auto to_agent = make_lane(container_account(self), &account_);
+  auto from_agent = make_lane(&account_, container_account(self));
+  auto ep = std::make_shared<RemoteChannelEndpoint>(*this, self, tenant_of(self), peer,
+                                                    peer_host, id, transport, to_agent,
+                                                    from_agent);
+  // The relay hook captures routing fields by value plus the agent itself —
+  // never the endpoint or the lane — so records queued in the lane (the
+  // closing bye included) still relay after the endpoint is destroyed. The
+  // agent co-owns the lane (outbound_lanes_) to keep those queued records
+  // alive; the hook hands back that ownership after the final record drains.
+  outbound_lanes_[id] = to_agent;
+  to_agent->set_receiver([this, self, peer, peer_host, id, transport](Buffer&& msg) {
+    relay_outbound(self, peer, peer_host, id, transport, std::move(msg));
+    drop_drained_lane(id);
+  });
+  endpoints_.emplace(id, ep);
+  return ep;
 }
 
 void Agent::drop_drained_lane(std::uint64_t channel_id) {
@@ -820,7 +752,9 @@ void Agent::declare_lane_failed(fabric::HostId peer, orch::Transport transport) 
   // A setup riding this lane (the trunk died mid-handshake) turns into one
   // failed attempt: the retry driver backs off and re-establishes instead
   // of leaving the waiters with a permanent `unavailable`.
-  fail_setup_attempt(key, unavailable("lane died during trunk setup"));
+  if (auto it = setups_.find(key); it != setups_.end()) {
+    on_setup_result(key, it->second.gen, unavailable("lane died during trunk setup"));
+  }
 }
 
 void Agent::fail_endpoints_on(fabric::HostId peer, orch::Transport transport) {

@@ -110,8 +110,6 @@ class Agent {
   rdma::RdmaDevice& rdma_device();
 
  private:
-  friend class AgentFabric;
-
   /// The tenant a container's relay records are classified under (0 for an
   /// unknown container: the infrastructure class).
   [[nodiscard]] std::uint32_t tenant_of(orch::ContainerId container) const;
@@ -121,11 +119,6 @@ class Agent {
     orch::Transport transport;
     auto operator<=>(const TrunkKey&) const = default;
   };
-
-  /// One attempt's completion: the built trunk, or why it failed. The
-  /// shared_ptr (not a raw Trunk*) lets the retry driver adopt-or-retire the
-  /// result after checking the attempt is still the live generation.
-  using SetupDoneFn = std::function<void(Result<std::shared_ptr<Trunk>>)>;
 
   void establish_shm(orch::ContainerId src, orch::ContainerId dst, EstablishFn done);
   void establish_remote(orch::ContainerId src, orch::ContainerId dst,
@@ -137,23 +130,40 @@ class Agent {
   /// waiters — one establishment per (host pair, transport) at a time.
   void with_trunk(fabric::HostId peer, orch::Transport transport,
                   std::function<void(Result<Trunk*>)> ready);
-  /// One handshake attempt each; establishment/retry is driven by
-  /// start_setup_attempt / on_setup_result.
-  void setup_rdma_trunk(fabric::HostId peer, SetupDoneFn done);
-  void setup_dpdk_trunk(fabric::HostId peer, SetupDoneFn done);
-  void setup_tcp_trunk(fabric::HostId peer, SetupDoneFn done);
 
   /// Launches the next attempt for the key's in-flight setup (arming the
-  /// per-attempt watchdog), and the attempt's single completion point: a
-  /// stale generation is ignored, success establishes the trunk and fires
-  /// the waiters, a retryable failure schedules backoff, anything else (or
-  /// a spent budget) fails the waiters terminally.
+  /// per-attempt watchdog) and runs the one setup handshake, whatever the
+  /// transport: capability here, then build and adopt our half as pending,
+  /// then the transport's connect step. on_setup_result is the attempt's
+  /// single completion point: a stale generation is ignored, success
+  /// establishes the trunk and fires the waiters, a retryable failure
+  /// schedules backoff, anything else (or a spent budget) fails the waiters
+  /// terminally.
   void start_setup_attempt(const TrunkKey& key);
   void on_setup_result(const TrunkKey& key, std::uint64_t gen,
                        Result<std::shared_ptr<Trunk>> result);
-  /// Converts an external event (lane death mid-handshake) into a failure
-  /// of the key's current attempt. No-op without an in-flight setup.
-  void fail_setup_attempt(const TrunkKey& key, Status error);
+
+  /// What the handshake does differently per transport (table in agent.cc).
+  struct TrunkKind;
+  static const TrunkKind& kind_of(orch::Transport transport);
+  /// Connect step of RDMA and DPDK: one control round trip that swaps the
+  /// two halves' wiring, with the peer capability check and the peer's
+  /// join-or-build of its half at the far end.
+  void exchange_wiring(const TrunkKey& key, std::uint64_t gen, std::shared_ptr<Trunk> half);
+  /// Connect step of TCP, under the single-dialer rule: the lower host id
+  /// dials; the higher one asks the peer to dial it back, and the listener
+  /// completes the attempt.
+  void dial(const TrunkKey& key, std::uint64_t gen, std::shared_ptr<Trunk> half);
+  /// The handshake's far end: joins the half already registered under `key`
+  /// (a bidirectional race) unless it is wired elsewhere (a stale half,
+  /// retired), else builds one, established at once. Wires it to `remote`.
+  std::shared_ptr<Trunk> join_or_build_half(const TrunkKey& key, const Wiring& remote);
+  /// The handshake's last step on the starting side: fails the attempt if
+  /// `half`, or `peer_half` on `peer` when given, was retired meanwhile (the
+  /// lane died mid-handshake), else wires `half` to `remote` and reports it.
+  void finish_setup(const TrunkKey& key, std::uint64_t gen,
+                    const std::shared_ptr<Trunk>& half, Agent* peer,
+                    const std::shared_ptr<Trunk>& peer_half, const Wiring& remote);
 
   dpdk::DpdkPort& dpdk_port();
 
@@ -168,9 +178,6 @@ class Agent {
   /// fails the endpoints riding it. Local bookkeeping only — no mirror to
   /// the peer, no orchestrator report (declare_lane_failed adds those).
   void retire_trunk_half(const TrunkKey& key);
-  /// Retires the key's trunk only if it never established (a failed
-  /// attempt's half-built half-trunk).
-  void abandon_pending_trunk(const TrunkKey& key);
   /// Marks rx activity on a monitored lane (no-op for retired lanes).
   void note_lane_rx(const TrunkKey& key);
   void arm_monitor();
@@ -192,8 +199,14 @@ class Agent {
   std::shared_ptr<shm::ShmLane> make_lane(sim::UsageAccount* sender,
                                           sim::UsageAccount* receiver);
   sim::UsageAccount* container_account(orch::ContainerId id);
-  /// Hangs the outbound relay on the endpoint's container->agent lane.
-  void wire_outbound(const std::shared_ptr<RemoteChannelEndpoint>& ep);
+  /// Builds and registers container `self`'s end of channel `id` toward
+  /// `peer` on `peer_host`, with the outbound relay hung on its
+  /// container->agent lane.
+  std::shared_ptr<RemoteChannelEndpoint> open_endpoint(orch::ContainerId self,
+                                                       orch::ContainerId peer,
+                                                       fabric::HostId peer_host,
+                                                       std::uint64_t id,
+                                                       orch::Transport transport);
 
   AgentFabric& fabric_;
   fabric::Host& host_;
@@ -303,7 +316,6 @@ class AgentFabric {
 
   [[nodiscard]] orch::NetworkOrchestrator& orchestrator() noexcept { return orchestrator_; }
   [[nodiscard]] const AgentConfig& config() const noexcept { return config_; }
-  [[nodiscard]] AgentConfig& mutable_config() noexcept { return config_; }
   [[nodiscard]] fabric::Cluster& cluster() noexcept;
   [[nodiscard]] sim::EventLoop& loop() noexcept;
   [[nodiscard]] tcp::TcpNetwork& underlay() noexcept { return underlay_net_; }

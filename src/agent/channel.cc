@@ -88,7 +88,7 @@ RemoteChannelEndpoint::RemoteChannelEndpoint(Agent& local_agent, orch::Container
       from_agent_(from_agent),
       inbound_(from_agent) {
   // The container->agent relay hook is installed by the Agent (see
-  // Agent::wire_outbound): it captures routing fields by value, not this
+  // Agent::open_endpoint): it captures routing fields by value, not this
   // endpoint, so the lane keeps draining after the endpoint is torn down.
 }
 

@@ -78,7 +78,7 @@ struct AgentConfig {
   SimDuration heartbeat_interval_ns = k_millisecond;
   SimDuration heartbeat_timeout_ns = 10 * k_millisecond;
 
-  /// Trunk establishment retry budget (with_trunk / setup_*_trunk): transient
+  /// Trunk establishment retry budget (with_trunk / start_setup_attempt): transient
   /// setup failures — a lane dying mid-handshake, a setup race resolving
   /// against us, an attempt watchdog firing — degrade to delayed
   /// establishment with exponential backoff instead of a permanent

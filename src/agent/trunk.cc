@@ -22,12 +22,16 @@ RdmaTrunk::RdmaTrunk(rdma::RdmaDevice& device, sim::UsageAccount& account,
                                              cfg.rdma_slots, cfg.rdma_slots)),
       drr_(fabric::Nic::k_drr_quantum_bytes) {}
 
-void RdmaTrunk::connect(fabric::HostId remote_host, rdma::QpNum remote_qp) {
+void RdmaTrunk::connect(fabric::HostId remote_host, const Wiring& remote) {
   if (lane_->ready()) return;
-  FF_CHECK(lane_->qp()->connect(remote_host, remote_qp).is_ok());
+  FF_CHECK(lane_->qp()->connect(remote_host, remote.qp).is_ok());
   // The lane is the trunk's alone: its wakeups stop when the trunk dies.
   lane_->start([this]() { poll(); });
   pump();
+}
+
+bool RdmaTrunk::wired_elsewhere(const Wiring& remote) const {
+  return lane_->ready() && lane_->qp()->remote_qp() != remote.qp;
 }
 
 RdmaTrunk::TenantRecords& RdmaTrunk::records_of(std::uint32_t tenant) {
@@ -113,9 +117,6 @@ void RdmaTrunk::poll() {
 
 // ---------------------------------------------------------------- DpdkTrunk
 
-DpdkTrunk::DpdkTrunk(dpdk::DpdkPort& port, fabric::HostId peer)
-    : port_(port), peer_(peer) {}
-
 void DpdkTrunk::send(Buffer record, std::uint32_t tenant) {
   const Status sent = port_.send(peer_, std::move(record), tenant);
   if (!sent.is_ok()) {
@@ -125,8 +126,9 @@ void DpdkTrunk::send(Buffer record, std::uint32_t tenant) {
 
 // ----------------------------------------------------------------- TcpTrunk
 
-void TcpTrunk::attach(tcp::TcpConnection::Ptr conn) {
-  conn_ = std::move(conn);
+void TcpTrunk::connect(fabric::HostId /*remote_host*/, const Wiring& remote) {
+  if (conn_ != nullptr || remote.conn == nullptr) return;
+  conn_ = remote.conn;
   conn_->set_on_data([this](Buffer&& data) { on_bytes(std::move(data)); });
   conn_->set_on_writable([this]() { pump(); });
   pump();

@@ -24,6 +24,14 @@
 
 namespace freeflow::agent {
 
+/// What a trunk half hands its peer during setup so the peer's half can be
+/// wired to it. The agent's setup handshake only carries it across: an RDMA
+/// half's QP number, or the TCP connection both ends share (nothing for DPDK).
+struct Wiring {
+  rdma::QpNum qp = 0;
+  tcp::TcpConnection::Ptr conn;
+};
+
 class Trunk {
  public:
   using RecordFn = std::function<void(Buffer&&)>;
@@ -52,6 +60,18 @@ class Trunk {
     (void)metrics;
     (void)prefix;
   }
+
+  // Setup hooks: the agent's one setup handshake wires every kind of trunk
+  // through these three.
+  /// What the peer's half needs to wire itself to this half.
+  [[nodiscard]] virtual Wiring wiring() const { return {}; }
+  /// Wires this half to the peer's. Only the first call does anything: both
+  /// handshakes of a bidirectional race converge on the same two halves.
+  virtual void connect(fabric::HostId /*remote_host*/, const Wiring& /*remote*/) {}
+  /// True when this half is already wired to something other than `remote`:
+  /// a half left behind by an attempt the other end abandoned. A wired half
+  /// cannot be re-pointed, so the agent replaces it.
+  [[nodiscard]] virtual bool wired_elsewhere(const Wiring& /*remote*/) const { return false; }
 
  protected:
   RecordFn on_record_;     ///< set by the owning agent pair
@@ -84,13 +104,13 @@ class RdmaTrunk final : public Trunk {
   RdmaTrunk(const RdmaTrunk&) = delete;  ///< its lane's wakeup holds `this`
   RdmaTrunk& operator=(const RdmaTrunk&) = delete;
 
-  [[nodiscard]] const std::shared_ptr<rdma::QueuePair>& qp() const noexcept {
-    return lane_->qp();
-  }
+  /// The wiring is the QP number: an RC connection is the pair of QP
+  /// numbers its two ends exchange out of band.
+  [[nodiscard]] Wiring wiring() const override { return {lane_->qp()->num(), nullptr}; }
   /// Connects the QP to the peer's, posts receives and starts draining
-  /// queued records. Only the first call on each side does anything: both
-  /// setup handshakes of a bidirectional race converge on the same QPs.
-  void connect(fabric::HostId remote_host, rdma::QpNum remote_qp);
+  /// queued records.
+  void connect(fabric::HostId remote_host, const Wiring& remote) override;
+  [[nodiscard]] bool wired_elsewhere(const Wiring& remote) const override;
 
   void send(Buffer record, std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested(std::uint32_t tenant) const noexcept override;
@@ -139,19 +159,18 @@ class RdmaTrunk final : public Trunk {
   std::string prefix_;
 };
 
-/// DPDK trunk: records ride the shared per-host PMD port.
+/// DPDK trunk: records ride the shared per-host PMD port, which delivers
+/// inbound records to the agent directly. Nothing is exchanged at setup.
 class DpdkTrunk final : public Trunk {
  public:
-  DpdkTrunk(dpdk::DpdkPort& port, fabric::HostId peer);
+  /// Starts the port (if it is not running yet): a half sends from birth.
+  DpdkTrunk(dpdk::DpdkPort& port, fabric::HostId peer) : port_(port), peer_(peer) {
+    port_.start();
+  }
 
   void send(Buffer record, std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested(std::uint32_t /*tenant*/) const noexcept override {
     return port_.tx_queue_depth() > k_congestion_records;
-  }
-
-  /// The owning agent routes port messages here.
-  void deliver(Buffer&& record) {
-    if (on_record_) on_record_(std::move(record));
   }
 
  private:
@@ -163,22 +182,23 @@ class DpdkTrunk final : public Trunk {
 /// with length-prefixed record framing on the byte stream.
 class TcpTrunk final : public Trunk {
  public:
-  explicit TcpTrunk(sim::EventLoop& loop) : loop_(loop) {}
-
-  /// Attaches the established connection (either side).
-  void attach(tcp::TcpConnection::Ptr conn);
-
   void send(Buffer record, std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested(std::uint32_t /*tenant*/) const noexcept override {
     return queue_.size() > k_congestion_records;
   }
-  [[nodiscard]] bool connected() const noexcept { return conn_ != nullptr; }
+  /// Attaches the connection (dialed or accepted) carried in `remote`; the
+  /// half stays connection-less until one arrives.
+  void connect(fabric::HostId remote_host, const Wiring& remote) override;
+  /// A connected half is stale against any other connection: the dialer
+  /// only dials again after abandoning the old one.
+  [[nodiscard]] bool wired_elsewhere(const Wiring& remote) const override {
+    return conn_ != nullptr && conn_ != remote.conn;
+  }
 
  private:
   void pump();
   void on_bytes(Buffer&& data);
 
-  sim::EventLoop& loop_;
   tcp::TcpConnection::Ptr conn_;
   std::deque<Buffer> queue_;  ///< records waiting for the connection/window
   Buffer rx_accum_;

@@ -6,6 +6,8 @@
 
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/freeflow.h"
 #include "fabric/cluster.h"
@@ -26,10 +28,19 @@ inline bool run_until(sim::EventLoop& loop, const std::function<bool()>& pred,
 struct Env {
   explicit Env(int hosts = 2, sim::CostModel model = {},
                fabric::NicCapabilities caps = {})
+      : Env(std::vector<fabric::NicCapabilities>(static_cast<std::size_t>(hosts), caps),
+            model) {}
+
+  /// One host per entry, each with its own NIC capabilities (e.g. one host
+  /// without RDMA beside a capable one).
+  explicit Env(const std::vector<fabric::NicCapabilities>& host_caps,
+               sim::CostModel model = {})
       : cluster(model),
         overlay_net(cluster, tcp::Subnet{tcp::Ipv4Addr(10, 244, 0, 0), 16}) {
-    cluster.add_hosts(hosts, "host", caps);
-    for (int h = 0; h < hosts; ++h) {
+    for (std::size_t h = 0; h < host_caps.size(); ++h) {
+      cluster.add_host("host" + std::to_string(h), host_caps[h]);
+    }
+    for (std::size_t h = 0; h < host_caps.size(); ++h) {
       overlay_net.attach_host(static_cast<fabric::HostId>(h));
     }
     cluster_orch = std::make_unique<orch::ClusterOrchestrator>(cluster, overlay_net);

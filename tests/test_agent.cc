@@ -148,37 +148,43 @@ class TrunkTransportTest : public AgentFixture,
                            public ::testing::WithParamInterface<orch::Transport> {};
 
 TEST_P(TrunkTransportTest, RemoteChannelDeliversWithIntegrity) {
-  Env env(2);
-  AgentFabric agents(*env.net_orch);
-  auto a = env.deploy("a", 1, 0);
-  auto b = env.deploy("b", 1, 1);
-  auto [ep_a, ep_b] = open_channel(env, agents, a, b, GetParam());
-  ASSERT_NE(ep_a, nullptr);
-  EXPECT_EQ(ep_a->transport(), GetParam());
+  // Both directions, each in a fresh deployment: from the higher host id
+  // only that side starts a setup, so for TCP this is the dial-back path
+  // on its own.
+  for (const auto& [from, to] : {std::pair<fabric::HostId, fabric::HostId>{0, 1}, {1, 0}}) {
+    SCOPED_TRACE("host " + std::to_string(from) + " -> host " + std::to_string(to));
+    Env env(2);
+    AgentFabric agents(*env.net_orch);
+    auto a = env.deploy("a", 1, from);
+    auto b = env.deploy("b", 1, to);
+    auto [ep_a, ep_b] = open_channel(env, agents, a, b, GetParam());
+    ASSERT_NE(ep_a, nullptr);
+    EXPECT_EQ(ep_a->transport(), GetParam());
 
-  // Multiple messages, one larger than the fragment size, both directions.
-  std::vector<Buffer> at_b;
-  Buffer at_a;
-  ep_b->set_on_message([&](Buffer&& m) { at_b.push_back(std::move(m)); });
-  ep_a->set_on_message([&](Buffer&& m) { at_a = std::move(m); });
+    // Multiple messages, one larger than the fragment size, both directions.
+    std::vector<Buffer> at_b;
+    Buffer at_a;
+    ep_b->set_on_message([&](Buffer&& m) { at_b.push_back(std::move(m)); });
+    ep_a->set_on_message([&](Buffer&& m) { at_a = std::move(m); });
 
-  Buffer small(1000), big(1500 * 1000);
-  fill_pattern(small.mutable_view(), 1);
-  fill_pattern(big.mutable_view(), 2);
-  ASSERT_TRUE(ep_a->send(std::move(small)).is_ok());
-  ASSERT_TRUE(ep_a->send(std::move(big)).is_ok());
-  Buffer reply(5000);
-  fill_pattern(reply.mutable_view(), 3);
-  ASSERT_TRUE(ep_b->send(std::move(reply)).is_ok());
+    Buffer small(1000), big(1500 * 1000);
+    fill_pattern(small.mutable_view(), 1);
+    fill_pattern(big.mutable_view(), 2);
+    ASSERT_TRUE(ep_a->send(std::move(small)).is_ok());
+    ASSERT_TRUE(ep_a->send(std::move(big)).is_ok());
+    Buffer reply(5000);
+    fill_pattern(reply.mutable_view(), 3);
+    ASSERT_TRUE(ep_b->send(std::move(reply)).is_ok());
 
-  EXPECT_TRUE(env.wait([&]() { return at_b.size() == 2 && at_a.size() == 5000; },
-                       30 * k_second));
-  ASSERT_EQ(at_b.size(), 2u);
-  EXPECT_EQ(at_b[0].size(), 1000u);
-  EXPECT_TRUE(check_pattern(at_b[0].view(), 1));
-  EXPECT_EQ(at_b[1].size(), 1500u * 1000);
-  EXPECT_TRUE(check_pattern(at_b[1].view(), 2));
-  EXPECT_TRUE(check_pattern(at_a.view(), 3));
+    EXPECT_TRUE(env.wait([&]() { return at_b.size() == 2 && at_a.size() == 5000; },
+                         30 * k_second));
+    ASSERT_EQ(at_b.size(), 2u);
+    EXPECT_EQ(at_b[0].size(), 1000u);
+    EXPECT_TRUE(check_pattern(at_b[0].view(), 1));
+    EXPECT_EQ(at_b[1].size(), 1500u * 1000);
+    EXPECT_TRUE(check_pattern(at_b[1].view(), 2));
+    EXPECT_TRUE(check_pattern(at_a.view(), 3));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTrunks, TrunkTransportTest,
@@ -191,10 +197,19 @@ INSTANTIATE_TEST_SUITE_P(AllTrunks, TrunkTransportTest,
                                       : std::string(orch::transport_name(pinfo.param));
                          });
 
-TEST_F(AgentFixture, RdmaTrunkRefusedWithoutCapableNic) {
-  fabric::NicCapabilities caps;
-  caps.rdma = false;
-  Env env(2, sim::CostModel{}, caps);
+struct Refusal {
+  orch::Transport transport;
+  bool peer_lacks;  ///< false: the local (establishing) host's NIC lacks it
+};
+
+class TrunkRefusal : public AgentFixture, public ::testing::WithParamInterface<Refusal> {};
+
+TEST_P(TrunkRefusal, RefusedWithoutCapableNic) {
+  const auto [transport, peer_lacks] = GetParam();
+  fabric::NicCapabilities lacking;
+  (transport == orch::Transport::rdma ? lacking.rdma : lacking.dpdk) = false;
+  Env env(peer_lacks ? std::vector{fabric::NicCapabilities{}, lacking}
+                     : std::vector{lacking, fabric::NicCapabilities{}});
   AgentFabric agents(*env.net_orch);
   auto a = env.deploy("a", 1, 0);
   auto b = env.deploy("b", 1, 1);
@@ -202,14 +217,35 @@ TEST_F(AgentFixture, RdmaTrunkRefusedWithoutCapableNic) {
   agents.agent_on(1).register_container(b->id(), [](orch::ContainerId, ChannelPtr) {});
   Status result;
   bool done = false;
-  agents.agent_on(0).establish(a->id(), b->id(), orch::Transport::rdma,
-                               [&](Result<ChannelPtr> ch) {
+  agents.agent_on(0).establish(a->id(), b->id(), transport, [&](Result<ChannelPtr> ch) {
     result = ch.status();
     done = true;
   });
   EXPECT_TRUE(env.wait([&]() { return done; }));
+  // Refused by whichever end lacks the capability, on the first attempt: a
+  // missing capability is not worth a retry.
   EXPECT_EQ(result.code(), Errc::failed_precondition);
+  EXPECT_NE(result.message().find(peer_lacks ? "peer NIC" : "local NIC"), std::string::npos)
+      << result;
+  EXPECT_NE(result.message().find("after 1 attempt(s)"), std::string::npos) << result;
+  auto& metrics = env.cluster.telemetry().metrics();
+  for (const fabric::HostId host : {0u, 1u}) {
+    SCOPED_TRACE("agent " + std::to_string(host));
+    EXPECT_EQ(metrics.counter("agent/" + std::to_string(host) + "/trunk/setup_retries").value(),
+              0u);
+    EXPECT_FALSE(agents.agent_on(host).trunk_established(1 - host, transport));
+    EXPECT_FALSE(agents.agent_on(host).setup_in_flight(1 - host, transport));
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    CapableNic, TrunkRefusal,
+    ::testing::Values(Refusal{orch::Transport::rdma, false}, Refusal{orch::Transport::rdma, true},
+                      Refusal{orch::Transport::dpdk, false}, Refusal{orch::Transport::dpdk, true}),
+    [](const ::testing::TestParamInfo<Refusal>& pinfo) {
+      return std::string(orch::transport_name(pinfo.param.transport)) +
+             (pinfo.param.peer_lacks ? "_peer" : "_local");
+    });
 
 TEST_F(AgentFixture, ManyChannelsShareOneTrunk) {
   Env env(2);

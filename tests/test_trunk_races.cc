@@ -147,6 +147,58 @@ TEST(TrunkRaceFaults, LaneDeathMidHandshakeIsRetriedToSuccess) {
   EXPECT_GE(retries, 1u) << "outage overlapped no attempt — timing drifted?";
 }
 
+TEST(TrunkRaceFaults, StaleRdmaHalfIsReplacedOnRetry) {
+  Env env(2);
+  AgentFabric agents(*env.net_orch);
+  faults::FaultInjector injector(*env.net_orch, agents);
+
+  // Host 0's link flaps after its setup request has left but before the
+  // peer's reply lands: the peer builds its half and connects its QP to
+  // ours, and the reply is lost. One control message's flight, from the
+  // cost model: NIC processing at each end, two link hops and the ToR.
+  const sim::CostModel& m = env.cluster.cost_model();
+  const auto one_way = static_cast<SimDuration>(2 * m.nic_pkt_cost(160)) +
+                       2 * m.link_prop_ns + m.switch_fwd_ns;
+  faults::FaultPlan plan;
+  plan.link_flap(0, env.loop().now() + one_way, 2 * one_way);
+  injector.arm(plan);
+
+  auto a = env.deploy("a", 1, 0);
+  auto b = env.deploy("b", 1, 1);
+  ChannelPtr ep_a, ep_b;
+  agents.agent_on(1).register_container(
+      b->id(), [&](orch::ContainerId, ChannelPtr ch) { ep_b = std::move(ch); });
+  agents.agent_on(0).register_container(a->id(), [](orch::ContainerId, ChannelPtr) {});
+  Status error;
+  agents.agent_on(0).establish(a->id(), b->id(), orch::Transport::rdma,
+                               [&](Result<ChannelPtr> ch) {
+    if (ch.is_ok()) {
+      ep_a = std::move(ch.value());
+    } else {
+      error = ch.status();
+    }
+  });
+  // The watchdog abandons the first attempt; the retry finds the peer's
+  // half wired to the abandoned QP, and the peer must replace it (a wired
+  // QP cannot be re-pointed) rather than join it.
+  ASSERT_TRUE(env.wait([&]() { return ep_a != nullptr && ep_b != nullptr; }, 30 * k_second))
+      << error;
+  auto& metrics = env.cluster.telemetry().metrics();
+  EXPECT_GE(metrics.counter("agent/0/trunk/setup_retries").value(), 1u)
+      << "the flap missed the reply — timing drifted?";
+  EXPECT_GE(metrics.counter("agent/1/trunk/retired").value(), 1u)
+      << "the peer joined a half wired to an abandoned QP";
+
+  Buffer at_b, at_a;
+  ep_b->set_on_message([&](Buffer&& msg) { at_b = std::move(msg); });
+  ep_a->set_on_message([&](Buffer&& msg) { at_a = std::move(msg); });
+  ASSERT_TRUE(ep_a->send(Buffer::from_string("ping")).is_ok());
+  ASSERT_TRUE(ep_b->send(Buffer::from_string("pong")).is_ok());
+  EXPECT_TRUE(env.wait([&]() { return !at_b.empty() && !at_a.empty(); }));
+  EXPECT_EQ(at_b.to_string(), "ping");
+  EXPECT_EQ(at_a.to_string(), "pong");
+}
+
 TEST(TrunkRaceFaults, TerminalErrorAfterRetryBudgetExhausted) {
   Env env(2);
   AgentFabric agents(*env.net_orch);
