@@ -325,9 +325,10 @@ int main(int argc, char** argv) {
   // Until now the tenants met only at the gateway host's NIC: each client
   // fleet has its own host, so each tenant's responses ride their own
   // agent trunk. Here a bulk fleet joins the latency clients' host, and
-  // both tenants' responses share the gateway agent's one RDMA trunk (one
-  // RC QP per host pair) toward it. The trunk's per-tenant wait histograms
-  // cover this phase only; everything above is already recorded.
+  // both tenants' responses share the gateway agent's one RDMA trunk (a QP
+  // per tenant over one slot ring) toward it. The trunk's per-tenant wait
+  // histograms, and the gateway NIC processor's, cover this phase only;
+  // everything above is already recorded.
   ClientFleet bulk_shared(env, k_bulk_tenant, "bulks", 1, k_bulk_clients / 2,
                           bulk_svc.gw_container->ip(), k_bulk_gw_port, 256,
                           k_bulk_resp, k_bulk_pipeline);
@@ -336,12 +337,17 @@ int main(int argc, char** argv) {
     return bulk_shared.all_connected() && bulk_shared.completed() >= 4;
   }, 10 * k_second));
   auto& metrics = env.cluster.telemetry().metrics();
-  const auto trunk_wait = [&](orch::TenantId tenant) -> Histogram& {
-    return metrics.histogram("agent/0/trunk/1/tenant/" + std::to_string(tenant) +
-                             "/wait_ns");
+  const auto trunk_wait = [&](orch::TenantId tenant, const char* stage) -> Histogram& {
+    return metrics.histogram("agent/0/trunk/1/tenant/" + std::to_string(tenant) + "/" +
+                             stage);
   };
-  trunk_wait(k_lat_tenant).reset();
-  trunk_wait(k_bulk_tenant).reset();
+  Histogram& proc_wait_lat =
+      metrics.histogram("nic/0/tenant/" + std::to_string(k_lat_tenant) + "/proc_wait_ns");
+  for (orch::TenantId tenant : {k_lat_tenant, k_bulk_tenant}) {
+    trunk_wait(tenant, "wait_ns").reset();
+    trunk_wait(tenant, "sq_wait_ns").reset();
+  }
+  proc_wait_lat.reset();
   lat_fleet.reset_latency();
   const std::uint64_t shared_bytes0 = bulk_shared.response_bytes();
   const SimTime shared_start = env.loop().now();
@@ -351,9 +357,12 @@ int main(int argc, char** argv) {
   const double p99_shared_us = static_cast<double>(shared.p99()) / 1e3;
   std::printf("shared-trunk latency tenant: %s\n", shared.summary_ns().c_str());
   std::printf("trunk wait, latency tenant:  %s\n",
-              trunk_wait(k_lat_tenant).summary_ns().c_str());
+              trunk_wait(k_lat_tenant, "wait_ns").summary_ns().c_str());
   std::printf("trunk wait, bulk tenant:     %s\n",
-              trunk_wait(k_bulk_tenant).summary_ns().c_str());
+              trunk_wait(k_bulk_tenant, "wait_ns").summary_ns().c_str());
+  std::printf("send-queue wait, latency:    %s\n",
+              trunk_wait(k_lat_tenant, "sq_wait_ns").summary_ns().c_str());
+  std::printf("NIC processor wait, latency: %s\n", proc_wait_lat.summary_ns().c_str());
   report.add("latency_p99_shared_trunk_us", p99_shared_us);
   report.add("shared_trunk_isolation_ratio",
              p99_uncontended_us > 0 ? p99_shared_us / p99_uncontended_us : 0.0);
@@ -361,9 +370,12 @@ int main(int argc, char** argv) {
              static_cast<double>(bulk_shared.response_bytes() - shared_bytes0) * 8.0 /
                  static_cast<double>(shared_window));
   report.add("trunk_wait_p99_latency_us",
-             static_cast<double>(trunk_wait(k_lat_tenant).p99()) / 1e3);
+             static_cast<double>(trunk_wait(k_lat_tenant, "wait_ns").p99()) / 1e3);
   report.add("trunk_wait_p99_bulk_us",
-             static_cast<double>(trunk_wait(k_bulk_tenant).p99()) / 1e3);
+             static_cast<double>(trunk_wait(k_bulk_tenant, "wait_ns").p99()) / 1e3);
+  report.add("sq_wait_p99_latency_us",
+             static_cast<double>(trunk_wait(k_lat_tenant, "sq_wait_ns").p99()) / 1e3);
+  report.add("proc_wait_p99_latency_us", static_cast<double>(proc_wait_lat.p99()) / 1e3);
   report.add_raw("telemetry", metrics.snapshot_json());
 
   footer();

@@ -87,8 +87,12 @@ bench_tenant_gateway:
      that succeeds is an isolation hole, never a perf miss.
   4. HARD  ``latency_flows``, ``bulk_flows``, ``bulk_resp_kb`` >= baseline:
      the contention may not be quietly shrunk to flatter the ratio.
-  5. INFO  p99s, goodput split, scale-ups, final pool size, churn counts,
-     faults applied, completions.
+  5. HARD  ``shared_trunk_isolation_ratio`` <= ISOLATION_P99_CEILING (3.0x):
+     the same ratio once a bulk fleet shares the latency clients' host, so
+     both tenants' responses ride one agent RDMA trunk and one NIC
+     processor (per-tenant QPs and processor WDRR).
+  6. INFO  p99s, goodput split, scale-ups, final pool size, churn counts,
+     faults applied, completions, the shared-trunk phase's per-stage waits.
 """
 
 import json
@@ -422,11 +426,26 @@ def gate_tenant_gateway(fresh, base):
                 "may not be quietly reduced to flatter the isolation ratio"
             )
 
+    shared = fresh.get("shared_trunk_isolation_ratio", 0.0)
+    print(
+        f"perf-gate: latency-tenant p99 on a shared trunk/uncontended: "
+        f"{shared:.2f}x (hard ceiling {ISOLATION_P99_CEILING}x)"
+    )
+    if not 0 < shared <= ISOLATION_P99_CEILING:
+        failures.append(
+            f"shared_trunk_isolation_ratio {shared:.2f}x breaches the "
+            f"{ISOLATION_P99_CEILING}x ceiling — the shared agent trunk is "
+            "not isolating the latency tenant from the bulk tenant"
+        )
+
     for key in ("latency_p99_uncontended_us", "latency_p99_contended_us",
                 "latency_p50_contended_us", "latency_goodput_gbps",
                 "bulk_goodput_gbps", "latency_completed", "bulk_completed",
                 "scale_ups", "bulk_pool_final", "churn_launched",
-                "churn_retired", "faults_applied"):
+                "churn_retired", "faults_applied", "latency_p99_shared_trunk_us",
+                "shared_trunk_bulk_gbps", "trunk_wait_p99_latency_us",
+                "trunk_wait_p99_bulk_us", "sq_wait_p99_latency_us",
+                "proc_wait_p99_latency_us"):
         if key in fresh:
             b = f" (baseline {base[key]:.6g})" if key in base else ""
             print(f"perf-gate: info {key} = {fresh[key]:.6g}{b}")

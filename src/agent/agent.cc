@@ -30,11 +30,12 @@ Agent& AgentFabric::agent_on(fabric::HostId host) {
   auto it = agents_.find(host);
   if (it != agents_.end()) return *it->second;
   fabric::Host& h = cluster().host(host);
-  const Status bound = underlay_builder_.addresses().add(agent_ip(host), h, nullptr);
-  FF_CHECK(bound.is_ok());
   auto agent = std::make_unique<Agent>(*this, h);
   Agent& ref = *agent;
   agents_.emplace(host, std::move(agent));
+  // The TCP trunks' kernel stack work is the agent's own CPU.
+  const Status bound = underlay_builder_.addresses().add(agent_ip(host), h, &ref.account());
+  FF_CHECK(bound.is_ok());
   return ref;
 }
 
@@ -448,9 +449,7 @@ std::shared_ptr<Trunk> Agent::adopt_trunk(const TrunkKey& key,
     // a fresher attempt's pending trunk) wins; the newcomer is retired. Its
     // pump events may hold raw pointers, so graveyard, not free.
     ctr_setup_races_->inc();
-    retired_trunks_.push_back(std::move(trunk));
-    ctr_trunks_retired_->inc();
-    gauge_graveyard_->set(static_cast<std::int64_t>(retired_trunks_.size()));
+    bury(std::move(trunk));
     trunk = it->second;
   } else if (it == trunks_.end()) {
     trunk->set_on_record([this, key](Buffer&& r) {
@@ -458,6 +457,10 @@ std::shared_ptr<Trunk> Agent::adopt_trunk(const TrunkKey& key,
       dispatch_record(std::move(r));
     });
     trunk->set_on_drained([this]() { notify_space(); });
+    // Weak: the callback lives on the trunk it names.
+    trunk->set_on_wire([this, key, weak = std::weak_ptr<Trunk>(trunk)](std::uint32_t tenant) {
+      if (auto half = weak.lock()) exchange_wiring(key, 0, std::move(half), tenant);
+    });
     trunk->set_telemetry(fabric_.cluster().telemetry().metrics(),
                          "agent/" + std::to_string(host_.id()) + "/trunk/" +
                              std::to_string(key.peer) + "/");
@@ -470,12 +473,17 @@ std::shared_ptr<Trunk> Agent::adopt_trunk(const TrunkKey& key,
   return trunk;
 }
 
+void Agent::bury(std::shared_ptr<Trunk> trunk) {
+  trunk->close();
+  retired_trunks_.push_back(std::move(trunk));
+  ctr_trunks_retired_->inc();
+  gauge_graveyard_->set(static_cast<std::int64_t>(retired_trunks_.size()));
+}
+
 void Agent::retire_trunk_half(const TrunkKey& key) {
   auto it = trunks_.find(key);
   if (it == trunks_.end()) return;
-  retired_trunks_.push_back(std::move(it->second));
-  ctr_trunks_retired_->inc();
-  gauge_graveyard_->set(static_cast<std::int64_t>(retired_trunks_.size()));
+  bury(std::move(it->second));
   trunks_.erase(it);
   lane_last_rx_.erase(key);
   fail_endpoints_on(key.peer, key.transport);
@@ -487,10 +495,10 @@ void Agent::note_lane_rx(const TrunkKey& key) {
 }
 
 void Agent::exchange_wiring(const TrunkKey& key, std::uint64_t gen,
-                            std::shared_ptr<Trunk> half) {
+                            std::shared_ptr<Trunk> half, std::uint32_t tenant) {
   Agent* peer = &fabric_.agent_on(key.peer);
   fabric::send_control(host_, key.peer, k_ctrl_bytes,
-                       [this, key, gen, half, peer, mine = half->wiring()]() {
+                       [this, key, gen, half, peer, tenant, mine = half->wiring(tenant)]() {
     const fabric::HostId self = host_.id();
     if (Status refused = kind_of(key.transport).refusal(peer->host(), "peer");
         !refused.is_ok()) {
@@ -500,7 +508,8 @@ void Agent::exchange_wiring(const TrunkKey& key, std::uint64_t gen,
     }
     auto peer_half = peer->join_or_build_half(TrunkKey{self, key.transport}, mine);
     fabric::send_control(peer->host(), self, k_ctrl_bytes,
-                         [this, key, gen, half, peer, peer_half, theirs = peer_half->wiring()]() {
+                         [this, key, gen, half, peer, peer_half,
+                          theirs = peer_half->wiring(tenant)]() {
       finish_setup(key, gen, half, peer, peer_half, theirs);
     });
   });
@@ -571,13 +580,14 @@ void Agent::finish_setup(const TrunkKey& key, std::uint64_t gen,
   if ((peer != nullptr &&
        !registered(*peer, TrunkKey{host_.id(), key.transport}, peer_half)) ||
       !registered(*this, key, half)) {
+    if (remote.tenant != 0) return;  // the retired trunk's tenants failed with it
     on_setup_result(key, gen,
                     unavailable(std::string(kind_of(key.transport).lane) +
                                 " lane died during trunk setup"));
     return;
   }
   half->connect(key.peer, remote);
-  on_setup_result(key, gen, half);
+  if (remote.tenant == 0) on_setup_result(key, gen, half);
 }
 
 // -------------------------------------------------------------------- relay
@@ -727,6 +737,7 @@ void Agent::send_heartbeat(const TrunkKey& key) {
   header.channel = 0;
   header.msg_seq = next_msg_seq_++;
   it->second->send(make_record(header, ByteSpan{}));
+  it->second->on_heartbeat();
   ctr_heartbeats_->inc();
 }
 

@@ -149,7 +149,14 @@ class Agent {
   /// Connect step of RDMA and DPDK: one control round trip that swaps the
   /// two halves' wiring, with the peer capability check and the peer's
   /// join-or-build of its half at the far end.
-  void exchange_wiring(const TrunkKey& key, std::uint64_t gen, std::shared_ptr<Trunk> half);
+  void exchange_wiring(const TrunkKey& key, std::uint64_t gen, std::shared_ptr<Trunk> half) {
+    exchange_wiring(key, gen, std::move(half), 0);
+  }
+  /// The same exchange for `tenant`'s QP of an RDMA half (tenant 0: the
+  /// half itself). A tenant QP belongs to no setup attempt: its exchange
+  /// passes `gen` 0 and ends quietly if either half was retired meanwhile.
+  void exchange_wiring(const TrunkKey& key, std::uint64_t gen, std::shared_ptr<Trunk> half,
+                       std::uint32_t tenant);
   /// Connect step of TCP, under the single-dialer rule: the lower host id
   /// dials; the higher one asks the peer to dial it back, and the listener
   /// completes the attempt.
@@ -161,6 +168,7 @@ class Agent {
   /// The handshake's last step on the starting side: fails the attempt if
   /// `half`, or `peer_half` on `peer` when given, was retired meanwhile (the
   /// lane died mid-handshake), else wires `half` to `remote` and reports it.
+  /// A tenant QP's exchange (`remote.tenant` set) only wires.
   void finish_setup(const TrunkKey& key, std::uint64_t gen,
                     const std::shared_ptr<Trunk>& half, Agent* peer,
                     const std::shared_ptr<Trunk>& peer_half, const Wiring& remote);
@@ -174,6 +182,8 @@ class Agent {
   /// to the graveyard. Returns the surviving trunk.
   std::shared_ptr<Trunk> adopt_trunk(const TrunkKey& key, std::shared_ptr<Trunk> trunk,
                                      bool established);
+  /// Closes `trunk` and keeps it in the graveyard.
+  void bury(std::shared_ptr<Trunk> trunk);
   /// Moves the key's trunk (pending or established) to the graveyard and
   /// fails the endpoints riding it. Local bookkeeping only — no mirror to
   /// the peer, no orchestrator report (declare_lane_failed adds those).

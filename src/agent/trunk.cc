@@ -20,14 +20,56 @@ RdmaTrunk::RdmaTrunk(rdma::RdmaDevice& device, sim::UsageAccount& account,
       lane_(std::make_shared<rdma::SlotLane>(device, &account,
                                              cfg.fragment_bytes + RelayHeader::k_size,
                                              cfg.rdma_slots, cfg.rdma_slots)),
-      drr_(fabric::Nic::k_drr_quantum_bytes) {}
+      drr_(fabric::Nic::k_drr_quantum_bytes) {
+  // The relay refills a QP as the NIC takes its posted WR. With one QP per
+  // tenant, waiting for a completion to refill would let a tenant's QP run
+  // dry and hand its share of the NIC processor to the other tenants. The
+  // lane is the trunk's alone: closing it with the trunk unhooks this.
+  lane_->set_on_wr_start([this](const rdma::SendWr& wr, SimDuration waited) {
+    if (auto it = tenants_.find(wr.tenant); it != tenants_.end()) {
+      it->second.hist_sq_wait->record(waited);
+    }
+    pump();
+  });
+}
+
+Wiring RdmaTrunk::wiring(std::uint32_t tenant) const {
+  Wiring w{lane_->qp()->num(), nullptr, tenant, 0};
+  if (tenant != 0) w.tenant_qp = lane_->qp(tenant_qps_.at(tenant))->num();
+  return w;
+}
+
+std::size_t RdmaTrunk::tenant_qp(std::uint32_t tenant) {
+  auto [it, fresh] = tenant_qps_.try_emplace(tenant, 0);
+  if (fresh) it->second = lane_->add_qp(tenant);
+  return it->second;
+}
 
 void RdmaTrunk::connect(fabric::HostId remote_host, const Wiring& remote) {
-  if (lane_->ready()) return;
-  FF_CHECK(lane_->qp()->connect(remote_host, remote.qp).is_ok());
-  // The lane is the trunk's alone: its wakeups stop when the trunk dies.
-  lane_->start([this]() { poll(); });
+  if (!lane_->ready()) {
+    FF_CHECK(lane_->qp()->connect(remote_host, remote.qp).is_ok());
+    // The lane is the trunk's alone: its wakeups stop when the trunk dies.
+    lane_->start([this]() { poll(); });
+  }
+  if (remote.tenant != 0) {
+    const std::size_t qp = tenant_qp(remote.tenant);
+    if (!lane_->ready(qp)) {
+      FF_CHECK(lane_->qp(qp)->connect(remote_host, remote.tenant_qp).is_ok());
+    }
+  }
   pump();
+}
+
+void RdmaTrunk::on_heartbeat() {
+  for (auto it = unwired_.begin(); it != unwired_.end();) {
+    if (lane_->ready(tenant_qps_.at(it->first))) {
+      it = unwired_.erase(it);
+      continue;
+    }
+    if (it->second) on_wire_(it->first);
+    it->second = true;
+    ++it;
+  }
 }
 
 bool RdmaTrunk::wired_elsewhere(const Wiring& remote) const {
@@ -44,8 +86,21 @@ RdmaTrunk::TenantRecords& RdmaTrunk::records_of(std::uint32_t tenant) {
       // One histogram per (trunk, tenant) adds up across a large deployment:
       // 1/8 sub-buckets (~6% error) keep each at 4 KiB instead of 16.
       flow.hist_wait = &metrics_->histogram(prefix + "wait_ns", 3);
+      flow.hist_sq_wait = &metrics_->histogram(prefix + "sq_wait_ns", 3);
       flow.g_queue_depth = &metrics_->gauge(prefix + "queue_depth");
     }
+    // The first tenant shares the base QP with the infrastructure class;
+    // every later one gets its own, wired now unless the peer's half
+    // already wired the pair for its own records of this tenant.
+    if (tenant != 0 && base_claimed_) {
+      const bool wired = tenant_qps_.contains(tenant);
+      flow.qp = tenant_qp(tenant);
+      if (!wired && on_wire_) {
+        unwired_[tenant] = false;
+        on_wire_(tenant);
+      }
+    }
+    base_claimed_ = base_claimed_ || tenant != 0;
   }
   return flow;
 }
@@ -80,12 +135,18 @@ bool RdmaTrunk::drained() const noexcept {
 }
 
 void RdmaTrunk::pump() {
-  if (!lane_->ready()) return;
   const auto& m = host_.cost_model();
-  while (lane_->has_free_slot() && lane_->send_queue_bytes() < backlog_bytes_) {
-    TenantRecords* flow = drr_.pick([](const TenantRecords& f) {
-      return f.q.empty() ? -1.0 : static_cast<double>(f.q.front().record.size());
-    });
+  while (lane_->has_free_slot()) {
+    // A tenant whose QP is still being wired, or already holds backlog_ns()
+    // of posted work, passes its turn to the others.
+    TenantRecords* flow = drr_.pick(
+        [](const TenantRecords& f) {
+          return f.q.empty() ? -1.0 : static_cast<double>(f.q.front().record.size());
+        },
+        [this](const TenantRecords& f, double) {
+          return !lane_->ready(f.qp) || lane_->send_queue_bytes(f.qp) >= backlog_bytes_;
+        },
+        [](const TenantRecords&) {});
     if (flow == nullptr) return;
     QueuedRecord queued = std::move(flow->q.front());
     flow->q.pop_front();
@@ -99,7 +160,7 @@ void RdmaTrunk::pump() {
       cpu += m.agent_copy_ns_per_byte * static_cast<double>(queued.record.size());
     }
     host_.cpu().submit(cpu, nullptr, &account_);
-    lane_->post(queued.record.view(), flow->tenant);
+    lane_->post(queued.record.view(), flow->tenant, flow->qp);
   }
 }
 

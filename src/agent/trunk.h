@@ -27,9 +27,13 @@ namespace freeflow::agent {
 /// What a trunk half hands its peer during setup so the peer's half can be
 /// wired to it. The agent's setup handshake only carries it across: an RDMA
 /// half's QP number, or the TCP connection both ends share (nothing for DPDK).
+/// An RDMA half wiring one tenant's QP later sends the same exchange with
+/// `tenant` set and that QP's number in `tenant_qp`.
 struct Wiring {
   rdma::QpNum qp = 0;
   tcp::TcpConnection::Ptr conn;
+  std::uint32_t tenant = 0;
+  rdma::QpNum tenant_qp = 0;
 };
 
 class Trunk {
@@ -63,11 +67,18 @@ class Trunk {
 
   // Setup hooks: the agent's one setup handshake wires every kind of trunk
   // through these three.
-  /// What the peer's half needs to wire itself to this half.
-  [[nodiscard]] virtual Wiring wiring() const { return {}; }
-  /// Wires this half to the peer's. Only the first call does anything: both
-  /// handshakes of a bidirectional race converge on the same two halves.
+  /// What the peer's half needs to wire itself to this half (and, for a
+  /// non-zero `tenant`, to this half's QP for that tenant).
+  [[nodiscard]] virtual Wiring wiring(std::uint32_t /*tenant*/) const { return {}; }
+  /// Wires this half to the peer's. Only the first call for each QP does
+  /// anything: both handshakes of a bidirectional race converge on the same
+  /// two halves.
   virtual void connect(fabric::HostId /*remote_host*/, const Wiring& /*remote*/) {}
+  /// Stops a retired half from moving records: it sends what it already
+  /// handed its transport, and nothing more.
+  virtual void close() {}
+  /// Runs at each of the agent's heartbeats on this lane.
+  virtual void on_heartbeat() {}
   /// True when this half is already wired to something other than `remote`:
   /// a half left behind by an attempt the other end abandoned. A wired half
   /// cannot be re-pointed, so the agent replaces it.
@@ -76,6 +87,8 @@ class Trunk {
  protected:
   RecordFn on_record_;     ///< set by the owning agent pair
   std::function<void()> on_drained_;
+  /// Asks the agent to wire this half's new QP for a tenant to the peer's.
+  std::function<void(std::uint32_t tenant)> on_wire_;
 
   /// Re-signals paused senders when `drained` (some tenant may send again).
   void maybe_drained(bool drained) {
@@ -85,18 +98,25 @@ class Trunk {
  public:
   void set_on_record(RecordFn cb) { on_record_ = std::move(cb); }
   void set_on_drained(std::function<void()> cb) { on_drained_ = std::move(cb); }
+  void set_on_wire(std::function<void(std::uint32_t)> cb) { on_wire_ = std::move(cb); }
 
   static constexpr std::size_t k_congestion_records = 32;
 };
 
-/// RDMA trunk: an rdma::SlotLane (a connected RC QP over a ring of send
-/// slots and pre-posted receives) plus per-tenant record queues feeding it.
-/// Every container on the host pair shares the one QP, and its send queue is
-/// FIFO, so the trunk keeps that queue shallow (see backlog_ns()) and picks
-/// which tenant's record goes next by weighted deficit round-robin, with the
-/// weights of the host NIC's TenantQos. In zero-copy mode the payload bytes
-/// are charged no agent-CPU copy (the shm block itself is registered, as in
-/// the paper's Fig. 6 flow); copy mode is the ablation baseline.
+/// RDMA trunk: an rdma::SlotLane (connected RC QPs over one ring of send
+/// slots and one shared receive queue) plus per-tenant record queues
+/// feeding it. Each tenant's records ride their own QP, so a latency
+/// record never waits in a bulk tenant's FIFO send queue: the first tenant
+/// and the infrastructure class (heartbeats) ride the base QP, and each
+/// later tenant gets a QP of its own at its first record, wired to a QP of
+/// the peer's half through the agent's wiring exchange. A tenant's records
+/// never change QP, so each channel's records stay in order. The QPs share
+/// the lane's slots and memory, so a tenant QP registers nothing. The trunk
+/// keeps each QP's send queue shallow (see backlog_ns()) and picks which
+/// tenant takes the next free slot by weighted deficit round-robin, with
+/// the weights of the host NIC's TenantQos. In zero-copy mode the payload
+/// bytes are charged no agent-CPU copy (the shm block itself is registered,
+/// as in the paper's Fig. 6 flow); copy mode is the ablation baseline.
 class RdmaTrunk final : public Trunk {
  public:
   /// One slot holds a full relay fragment plus its header.
@@ -104,13 +124,22 @@ class RdmaTrunk final : public Trunk {
   RdmaTrunk(const RdmaTrunk&) = delete;  ///< its lane's wakeup holds `this`
   RdmaTrunk& operator=(const RdmaTrunk&) = delete;
 
-  /// The wiring is the QP number: an RC connection is the pair of QP
-  /// numbers its two ends exchange out of band.
-  [[nodiscard]] Wiring wiring() const override { return {lane_->qp()->num(), nullptr}; }
-  /// Connects the QP to the peer's, posts receives and starts draining
-  /// queued records.
+  /// The wiring is QP numbers: an RC connection is the pair of QP numbers
+  /// its two ends exchange out of band. The base QP's number names the
+  /// half; a tenant's adds that tenant's QP.
+  [[nodiscard]] Wiring wiring(std::uint32_t tenant) const override;
+  /// Connects the base QP to the peer's, posts receives and starts draining
+  /// queued records; a tenant wiring also connects (creating it if need be)
+  /// this half's QP for that tenant.
   void connect(fabric::HostId remote_host, const Wiring& remote) override;
   [[nodiscard]] bool wired_elsewhere(const Wiring& remote) const override;
+  /// Closes the lane: no more polls and no more refills, so a dead engine's
+  /// QPs drop only the WRs already posted to them.
+  void close() override { lane_->close(); }
+  /// Asks again for a tenant QP still unwired a full heartbeat after its
+  /// exchange left: a link flap can drop its control messages, and the
+  /// exchange is idempotent.
+  void on_heartbeat() override;
 
   void send(Buffer record, std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested(std::uint32_t tenant) const noexcept override;
@@ -135,12 +164,16 @@ class RdmaTrunk final : public Trunk {
   };
   struct TenantRecords : DrrFlow {
     std::uint32_t tenant = 0;
+    std::size_t qp = 0;  ///< the lane QP the tenant's records ride
     std::deque<QueuedRecord> q;
     Histogram* hist_wait = telemetry::discard_histogram();
+    Histogram* hist_sq_wait = telemetry::discard_histogram();
     telemetry::Gauge* g_queue_depth = telemetry::Gauge::discard();
   };
 
   TenantRecords& records_of(std::uint32_t tenant);
+  /// The lane QP for `tenant`'s own QP pair, created on first use.
+  std::size_t tenant_qp(std::uint32_t tenant);
   void pump();
   void poll();
   /// True unless every tenant that has used the trunk is congested.
@@ -151,6 +184,13 @@ class RdmaTrunk final : public Trunk {
   bool zero_copy_;
   std::size_t backlog_bytes_;  ///< backlog_ns() at the NIC's line rate
   rdma::SlotLanePtr lane_;
+  /// Lane QP index of each tenant QP pair, wired for whichever end's
+  /// tenant first needed it (the peer's first tenant may differ from ours).
+  std::map<std::uint32_t, std::size_t> tenant_qps_;
+  bool base_claimed_ = false;  ///< a tenant's records ride the base QP
+  /// Tenant QPs this half asked the peer to wire, until a heartbeat finds
+  /// them wired; true once a heartbeat has passed since the last ask.
+  std::map<std::uint32_t, bool> unwired_;
   /// Keyed by tenant; std::map keeps telemetry names deterministic and
   /// pointers stable for the scheduler's rotation.
   std::map<std::uint32_t, TenantRecords> tenants_;

@@ -34,12 +34,7 @@ void Nic::set_telemetry(telemetry::Telemetry* hub) {
   }
   // Tenants seen before the hub was wired pick up real sinks now; tenants
   // seen later wire themselves lazily in tenant_queue().
-  for (auto& [tenant, tq] : tenants_) {
-    const std::string tprefix = prefix + "tenant/" + std::to_string(tenant) + "/";
-    tq.ctr_tx_bytes = &m.counter(tprefix + "tx_bytes");
-    tq.g_queue_depth = &m.gauge(tprefix + "queue_depth");
-    tq.g_deficit = &m.gauge(tprefix + "sched_deficit");
-  }
+  for (auto& [tenant, tq] : tenants_) wire_tenant(tenant, tq);
   // Sampled at snapshot time: fraction of the tx link's total capacity used
   // since t=0. The NIC outlives the registry's export calls (both die with
   // the cluster), so capturing `this` is safe.
@@ -71,15 +66,20 @@ Nic::TenantQueue& Nic::tenant_queue(std::uint32_t tenant) {
   auto it = tenants_.find(tenant);
   if (it != tenants_.end()) return it->second;
   TenantQueue& tq = tenants_[tenant];
-  if (hub_ != nullptr) {
-    auto& m = hub_->metrics();
-    const std::string prefix = "nic/" + std::to_string(host_) + "/tenant/" +
-                               std::to_string(tenant) + "/";
-    tq.ctr_tx_bytes = &m.counter(prefix + "tx_bytes");
-    tq.g_queue_depth = &m.gauge(prefix + "queue_depth");
-    tq.g_deficit = &m.gauge(prefix + "sched_deficit");
-  }
+  if (hub_ != nullptr) wire_tenant(tenant, tq);
   return tq;
+}
+
+std::string Nic::tenant_prefix(std::uint32_t tenant) const {
+  return "nic/" + std::to_string(host_) + "/tenant/" + std::to_string(tenant) + "/";
+}
+
+void Nic::wire_tenant(std::uint32_t tenant, TenantQueue& tq) {
+  auto& m = hub_->metrics();
+  const std::string prefix = tenant_prefix(tenant);
+  tq.ctr_tx_bytes = &m.counter(prefix + "tx_bytes");
+  tq.g_queue_depth = &m.gauge(prefix + "queue_depth");
+  tq.g_deficit = &m.gauge(prefix + "sched_deficit");
 }
 
 void Nic::set_tenant_qos(std::uint32_t tenant, TenantQos qos) {
@@ -87,6 +87,7 @@ void Nic::set_tenant_qos(std::uint32_t tenant, TenantQos qos) {
   TenantQueue& tq = tenant_queue(tenant);
   tq.qos = qos;
   tq.weight = qos.weight;
+  tq.proc.weight = qos.weight;
   // Any (re)configured cap starts earning tokens from now — an empty bucket,
   // so a tightened cap cannot spend a stale surplus.
   tq.tokens_at = loop_.now();
@@ -204,6 +205,44 @@ void Nic::transmit(PacketPtr packet) {
     // serializing while this one is in flight, exactly as before WDRR.
     loop_.schedule(model_.link_prop_ns, [this, packet]() { tor_->forward(packet); });
   });
+}
+
+void Nic::process(std::uint32_t tenant, double work_ns, std::uint32_t bytes,
+                  sim::DoneFn done) {
+  ProcQueue& flow = tenant_queue(tenant).proc;
+  if (hub_ != nullptr && flow.hist_wait == telemetry::discard_histogram()) {
+    // Only tenants that use the processor get a histogram (1/8 sub-buckets,
+    // as for the agent trunks' per-tenant histograms).
+    flow.hist_wait = &hub_->metrics().histogram(tenant_prefix(tenant) + "proc_wait_ns", 3);
+  }
+  flow.q.push_back(ProcJob{std::move(done), work_ns, bytes, loop_.now()});
+  proc_drr_.activate(flow);
+  dispatch_proc();
+}
+
+void Nic::dispatch_proc() {
+  if (proc_busy_) return;
+  ProcQueue* flow = proc_drr_.pick([](const ProcQueue& f) {
+    return f.q.empty() ? -1.0 : static_cast<double>(f.q.front().bytes);
+  });
+  if (flow == nullptr) return;
+  ProcJob job = std::move(flow->q.front());
+  flow->q.pop_front();
+  // The flow keeps its place even if this emptied it: the job's completion
+  // may queue the tenant's next chunk, which then goes on the same deficit.
+  // A flow still empty at the next pick retires there.
+  proc_drr_.consume(*flow, job.bytes, /*emptied=*/false);
+  flow->hist_wait->record(loop_.now() - job.queued_at);
+  proc_busy_ = true;
+  proc_done_ = std::move(job.done);
+  processor_.submit(job.work_ns, [this]() { finish_proc(); });
+}
+
+void Nic::finish_proc() {
+  proc_busy_ = false;
+  sim::DoneFn done = std::move(proc_done_);
+  if (done) done();
+  dispatch_proc();
 }
 
 void Nic::set_rx_handler(PacketKind kind, std::function<void(PacketPtr)> handler) {

@@ -85,9 +85,20 @@ class Nic {
 
   [[nodiscard]] std::uint64_t dropped_packets() const noexcept { return dropped_packets_; }
 
-  /// The on-NIC processor; the RDMA engine charges per-packet work here.
+  /// The on-NIC processor; the RDMA engine charges per-packet work here
+  /// through process(), which schedules it per tenant.
   [[nodiscard]] sim::Resource& processor() noexcept { return processor_; }
   [[nodiscard]] const sim::Resource& processor() const noexcept { return processor_; }
+
+  /// Runs `work_ns` of packet processing for `tenant` on the processor.
+  /// Jobs queue per tenant, and the tx link's WDRR (the same TenantQos
+  /// weights and quantum, each job charged its packet's `bytes`) feeds the
+  /// processor one job at a time, so a saturating tenant's chunks cannot
+  /// queue another tenant's behind them. `done` runs when the job ends; a
+  /// tenant whose `done` queues its next job (an RC QP streaming a message
+  /// chunk by chunk) keeps its turn while its deficit lasts, so the weights
+  /// hold for one-chunk-at-a-time streams too. A lone tenant runs FIFO.
+  void process(std::uint32_t tenant, double work_ns, std::uint32_t bytes, sim::DoneFn done);
 
   /// Transmit queue (line-rate serialization).
   [[nodiscard]] sim::Resource& tx_link() noexcept { return tx_link_; }
@@ -137,6 +148,17 @@ class Nic {
   void set_telemetry(telemetry::Telemetry* hub);
 
  private:
+  /// One tenant's processor jobs; its WDRR weight mirrors `qos.weight`.
+  struct ProcJob {
+    sim::DoneFn done;
+    double work_ns = 0;
+    std::uint32_t bytes = 0;
+    SimTime queued_at = 0;
+  };
+  struct ProcQueue : DrrFlow {
+    std::deque<ProcJob> q;
+    Histogram* hist_wait = telemetry::discard_histogram();
+  };
   /// The WDRR weight lives in DrrFlow::weight; `qos.weight` mirrors it.
   struct TenantQueue : DrrFlow {
     std::deque<PacketPtr> q;
@@ -147,12 +169,17 @@ class Nic {
     telemetry::Counter* ctr_tx_bytes = telemetry::Counter::discard();
     telemetry::Gauge* g_queue_depth = telemetry::Gauge::discard();
     telemetry::Gauge* g_deficit = telemetry::Gauge::discard();
+    ProcQueue proc;
   };
 
   sim::EventLoop& loop_;
   const sim::CostModel& model_;
   void drop(PacketKind kind);
   TenantQueue& tenant_queue(std::uint32_t tenant);
+  /// "nic/<host>/tenant/<t>/", the tenant's telemetry prefix.
+  [[nodiscard]] std::string tenant_prefix(std::uint32_t tenant) const;
+  /// Points a tenant's tx-link telemetry at the hub's registry.
+  void wire_tenant(std::uint32_t tenant, TenantQueue& tq);
   void refill_tokens(TenantQueue& tq) noexcept;
   /// Picks the next packet by WDRR and occupies the tx link with it; no-op
   /// while a packet is serializing or every queue is empty/rate-blocked
@@ -160,6 +187,9 @@ class Nic {
   /// Rate caps sit on top of the DRR as its `held` predicate.
   void dispatch_next();
   void transmit(PacketPtr packet);
+  /// Starts the processor's next job by WDRR; no-op while one runs.
+  void dispatch_proc();
+  void finish_proc();
 
   HostId host_;
   NicCapabilities caps_;
@@ -177,6 +207,10 @@ class Nic {
   DeficitRoundRobin<TenantQueue> drr_{k_drr_quantum_bytes};
   bool tx_busy_ = false;
   bool retry_armed_ = false;
+  /// Rotation of tenants with processor jobs queued (or one running).
+  DeficitRoundRobin<ProcQueue> proc_drr_{k_drr_quantum_bytes};
+  bool proc_busy_ = false;
+  sim::DoneFn proc_done_;  ///< the running job's completion
   telemetry::Telemetry* hub_ = nullptr;
 
   std::uint64_t tx_packets_ = 0;

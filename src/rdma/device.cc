@@ -20,7 +20,12 @@ MrPtr RdmaDevice::reg_mr(std::size_t length) {
   const Key rkey = next_key_++;
   auto mr = std::make_shared<MemoryRegion>(lkey, rkey, length);
   mrs_.emplace(rkey, mr);
+  registered_bytes_ += length;
   return mr;
+}
+
+std::shared_ptr<SharedReceiveQueue> RdmaDevice::create_srq(std::uint32_t max_wr) {
+  return std::make_shared<SharedReceiveQueue>(*this, max_wr);
 }
 
 CqPtr RdmaDevice::create_cq(std::size_t capacity) {
@@ -50,6 +55,10 @@ std::uint32_t RdmaDevice::wire_bytes(const RdmaChunk& chunk) noexcept {
   return static_cast<std::uint32_t>(chunk.payload.size()) + k_roce_header_bytes;
 }
 
+void RdmaDevice::process(const RdmaChunk& chunk, double work, sim::DoneFn done) {
+  host_.nic().process(chunk.tenant, work, wire_bytes(chunk), std::move(done));
+}
+
 void RdmaDevice::transmit(fabric::HostId dst_host, std::shared_ptr<RdmaChunk> chunk) {
   auto packet = fabric::acquire_packet();
   packet->dst_host = dst_host;
@@ -68,7 +77,7 @@ void RdmaDevice::on_chunk(fabric::PacketPtr packet) {
   const bool hairpin = packet->src_host == host_.id();
   const fabric::HostId requester = packet->src_host;
 
-  auto process = [this, chunk, requester]() {
+  auto handle = [this, chunk, requester]() {
     switch (chunk->kind) {
       case RdmaChunk::Kind::data:
         handle_data(chunk);
@@ -83,14 +92,14 @@ void RdmaDevice::on_chunk(fabric::PacketPtr packet) {
   };
 
   if (hairpin) {
-    process();
+    handle();
     return;
   }
   const auto& m = host_.cost_model();
   const double cost = chunk->kind == RdmaChunk::Kind::data
                           ? m.nic_pkt_cost(static_cast<std::uint32_t>(chunk->payload.size()))
                           : m.nic_pkt_fixed_ns;
-  nic_proc().submit(cost, std::move(process));
+  process(*chunk, cost, std::move(handle));
 }
 
 void RdmaDevice::handle_data(const std::shared_ptr<RdmaChunk>& chunk) {
@@ -141,8 +150,8 @@ void RdmaDevice::handle_read_request(const std::shared_ptr<RdmaChunk>& request,
     chunk->total_len = 0;
     chunk->last = true;
     chunk->tenant = request->tenant;
-    nic_proc().submit(m.nic_pkt_fixed_ns,
-                      [this, chunk, requester]() { transmit(requester, chunk); });
+    process(*chunk, m.nic_pkt_fixed_ns,
+            [this, chunk, requester]() { transmit(requester, chunk); });
     return;
   }
   stream_read_chunk(request, requester, 0);
@@ -177,7 +186,7 @@ void RdmaDevice::stream_read_chunk(const std::shared_ptr<RdmaChunk>& request,
   const double bus = m.nic_dma_bus_bytes_factor * static_cast<double>(n);
   if (bus > 0) host_.membus().submit(bus, nullptr);
 
-  nic_proc().submit(m.nic_pkt_cost(n), [this, chunk, request, requester]() {
+  process(*chunk, m.nic_pkt_cost(n), [this, chunk, request, requester]() {
     const bool more = !chunk->last;
     const auto next =
         chunk->chunk_offset + static_cast<std::uint32_t>(chunk->payload.size());

@@ -58,6 +58,9 @@ class RdmaDevice {
   /// Creates a completion queue.
   CqPtr create_cq(std::size_t capacity = 4096);
 
+  /// Creates a shared receive queue holding up to `max_wr` receives.
+  std::shared_ptr<SharedReceiveQueue> create_srq(std::uint32_t max_wr);
+
   /// Creates an RC queue pair (send/recv completions may share a CQ).
   std::shared_ptr<QueuePair> create_qp(CqPtr send_cq, CqPtr recv_cq, QpAttr attr = {});
 
@@ -66,7 +69,9 @@ class RdmaDevice {
   [[nodiscard]] std::shared_ptr<QueuePair> qp(QpNum num);
 
   [[nodiscard]] fabric::Host& host() noexcept { return host_; }
-  [[nodiscard]] sim::Resource& nic_proc() noexcept { return host_.nic().processor(); }
+
+  /// Bytes of memory registered on the device so far.
+  [[nodiscard]] std::size_t registered_bytes() const noexcept { return registered_bytes_; }
 
   /// Total payload bytes delivered into local MRs by remote operations.
   [[nodiscard]] std::uint64_t bytes_received() const noexcept { return bytes_received_; }
@@ -83,6 +88,9 @@ class RdmaDevice {
                          fabric::HostId requester, std::uint32_t offset);
 
   static std::uint32_t wire_bytes(const RdmaChunk& chunk) noexcept;
+  /// Queues `work` ns for `chunk` on the NIC processor, in the chunk's
+  /// tenant class, charged its wire bytes by the processor's scheduler.
+  void process(const RdmaChunk& chunk, double work, sim::DoneFn done);
 
   fabric::Host& host_;
   Key next_key_ = 1;
@@ -90,6 +98,7 @@ class RdmaDevice {
   std::unordered_map<Key, MrPtr> mrs_;
   std::unordered_map<QpNum, std::shared_ptr<QueuePair>> qps_;
   std::uint64_t bytes_received_ = 0;
+  std::size_t registered_bytes_ = 0;
 
   friend class QueuePair;
 };

@@ -14,8 +14,27 @@ QueuePair::QueuePair(RdmaDevice& device, QpNum num, CqPtr send_cq, CqPtr recv_cq
       num_(num),
       send_cq_(std::move(send_cq)),
       recv_cq_(std::move(recv_cq)),
-      attr_(attr) {
+      attr_(attr),
+      srq_(attr_.srq) {
   FF_CHECK(send_cq_ != nullptr && recv_cq_ != nullptr);
+}
+
+Status SharedReceiveQueue::post_recv(const RecvWr& wr, sim::UsageAccount* account) {
+  if (rq_.size() >= max_wr_) return resource_exhausted("shared receive queue full");
+  if (wr.local.mr == nullptr ||
+      wr.local.offset + wr.local.length > wr.local.mr->length()) {
+    return invalid_argument("local buffer out of MR bounds");
+  }
+  device_.host().cpu().submit(device_.host().cost_model().rdma_post_ns, nullptr, account);
+  rq_.push_back(wr);
+  // Every waiting QP retries (RNR retry semantics); one that still finds
+  // the queue empty parks itself again, behind the others.
+  auto waiters = std::move(rnr_waiters_);
+  rnr_waiters_.clear();
+  for (auto& waiter : waiters) {
+    if (auto qp = waiter.lock()) qp->retry_rnr();
+  }
+  return ok_status();
 }
 
 Status QueuePair::connect(fabric::HostId remote_host, QpNum remote_qp) {
@@ -36,13 +55,14 @@ Status QueuePair::post_send(const SendWr& wr, sim::UsageAccount* account) {
     return invalid_argument("local buffer out of MR bounds");
   }
   device_.host().cpu().submit(device_.host().cost_model().rdma_post_ns, nullptr, account);
-  sq_.push_back(wr);
+  sq_.push_back(PostedWr{wr, device_.host().loop().now()});
   sq_bytes_ += wr.local.length;
   pump();
   return ok_status();
 }
 
 Status QueuePair::post_recv(const RecvWr& wr, sim::UsageAccount* account) {
+  if (srq_ != nullptr) return failed_precondition("QP draws its receives from an SRQ");
   if (rq_.size() >= attr_.max_recv_wr) return resource_exhausted("recv queue full");
   if (wr.local.mr == nullptr ||
       wr.local.offset + wr.local.length > wr.local.mr->length()) {
@@ -50,20 +70,22 @@ Status QueuePair::post_recv(const RecvWr& wr, sim::UsageAccount* account) {
   }
   device_.host().cpu().submit(device_.host().cost_model().rdma_post_ns, nullptr, account);
   rq_.push_back(wr);
-  // Drain chunks that beat the receive posting (RNR retry semantics); a
-  // chunk still lacking a buffer re-queues itself in order.
-  if (!rnr_backlog_.empty()) {
-    std::deque<std::shared_ptr<RdmaChunk>> pending;
-    pending.swap(rnr_backlog_);
-    for (auto& chunk : pending) rx_data_chunk(chunk);
-  }
+  retry_rnr();  // chunks that beat the receive posting (RNR retry semantics)
   return ok_status();
+}
+
+void QueuePair::retry_rnr() {
+  if (rnr_backlog_.empty()) return;
+  std::deque<std::shared_ptr<RdmaChunk>> pending;
+  pending.swap(rnr_backlog_);
+  for (auto& chunk : pending) rx_data_chunk(chunk);
 }
 
 void QueuePair::pump() {
   if (tx_active_ || sq_.empty()) return;
   tx_active_ = true;
-  const SendWr wr = sq_.front();
+  const SendWr wr = sq_.front().wr;
+  const SimDuration waited = device_.host().loop().now() - sq_.front().posted_at;
   sq_.pop_front();
   sq_bytes_ -= wr.local.length;
   const std::uint64_t msg_id = next_msg_id_++;
@@ -73,6 +95,7 @@ void QueuePair::pump() {
   } else {
     emit_chunks(wr, msg_id);
   }
+  if (on_wr_start_) on_wr_start_(wr, waited);
 }
 
 void QueuePair::emit_read_request(const SendWr& wr, std::uint64_t msg_id) {
@@ -89,7 +112,7 @@ void QueuePair::emit_read_request(const SendWr& wr, std::uint64_t msg_id) {
 
   const auto& m = device_.host().cost_model();
   auto self = shared_from_this();
-  device_.nic_proc().submit(m.nic_pkt_fixed_ns, [self, req]() {
+  device_.process(*req, m.nic_pkt_fixed_ns, [self, req]() {
     self->device_.transmit(self->remote_host_, req);
     self->tx_active_ = false;
     self->pump();
@@ -134,7 +157,7 @@ void QueuePair::stream_chunk(std::uint64_t msg_id, std::uint32_t offset) {
   if (bus > 0) device_.host().membus().submit(bus, nullptr);
 
   auto self = shared_from_this();
-  device_.nic_proc().submit(m.nic_pkt_cost(n), [self, chunk, msg_id, offset, n]() {
+  device_.process(*chunk, m.nic_pkt_cost(n), [self, chunk, msg_id, offset, n]() {
     const bool more = !chunk->last;
     self->device_.transmit(self->remote_host_, chunk);
     if (more) {
@@ -156,13 +179,17 @@ void QueuePair::rx_data_chunk(const std::shared_ptr<RdmaChunk>& chunk) {
     case Opcode::send: {
       auto& prog = rx_progress_[chunk->msg_id];
       if (prog.recv_wr == nullptr && !prog.claimed) {
-        if (rq_.empty()) {
+        std::deque<RecvWr>& rq = receives();
+        if (rq.empty()) {
+          if (srq_ != nullptr && rnr_backlog_.empty()) {
+            srq_->rnr_waiters_.push_back(weak_from_this());
+          }
           rnr_backlog_.push_back(chunk);
           return;
         }
         prog.claimed = true;
-        prog.recv_wr = std::make_unique<RecvWr>(rq_.front());
-        rq_.pop_front();
+        prog.recv_wr = std::make_unique<RecvWr>(rq.front());
+        rq.pop_front();
         if (chunk->total_len > prog.recv_wr->local.length) {
           prog.error = WcStatus::local_length_error;
         }
@@ -181,7 +208,7 @@ void QueuePair::rx_data_chunk(const std::shared_ptr<RdmaChunk>& chunk) {
           // never complete successfully — treat the message as lost in the
           // fabric: no completion, no ack, and the posted buffer goes back
           // for the next message. Recovery belongs to the layer above.
-          rq_.push_front(*prog.recv_wr);
+          receives().push_front(*prog.recv_wr);
           rx_progress_.erase(chunk->msg_id);
           break;
         }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -18,6 +19,35 @@ class RdmaDevice;
 struct RdmaChunk;
 
 enum class QpState : std::uint8_t { reset, ready, error };
+
+/// Shared receive queue (ibv_srq): receive buffers that any QP created with
+/// it in QpAttr::srq draws from, in posting order. A SEND that finds it
+/// empty waits in its QP's RNR backlog; each post retries the waiting QPs
+/// in the order they ran dry.
+class SharedReceiveQueue {
+ public:
+  SharedReceiveQueue(RdmaDevice& device, std::uint32_t max_wr)
+      : device_(device), max_wr_(max_wr) {}
+
+  SharedReceiveQueue(const SharedReceiveQueue&) = delete;
+  SharedReceiveQueue& operator=(const SharedReceiveQueue&) = delete;
+
+  /// Posts a receive buffer; charged rdma_post_ns like QueuePair::post_recv.
+  Status post_recv(const RecvWr& wr, sim::UsageAccount* account = nullptr);
+
+  [[nodiscard]] std::size_t depth() const noexcept { return rq_.size(); }
+
+ private:
+  friend class QueuePair;
+
+  RdmaDevice& device_;
+  std::uint32_t max_wr_;
+  std::deque<RecvWr> rq_;
+  /// QPs whose RNR backlog waits for a buffer, oldest first.
+  std::deque<std::weak_ptr<QueuePair>> rnr_waiters_;
+};
+
+using SrqPtr = std::shared_ptr<SharedReceiveQueue>;
 
 class QueuePair : public std::enable_shared_from_this<QueuePair> {
  public:
@@ -38,14 +68,22 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   /// CPU (`account`). Fails with resource_exhausted when the SQ is full.
   Status post_send(const SendWr& wr, sim::UsageAccount* account = nullptr);
 
-  /// Posts a receive buffer for incoming SENDs.
+  /// Posts a receive buffer for incoming SENDs (not on a QP with an SRQ).
   Status post_recv(const RecvWr& wr, sim::UsageAccount* account = nullptr);
 
   [[nodiscard]] std::size_t send_queue_depth() const noexcept { return sq_.size(); }
   /// Bytes of posted WRs the NIC has not started yet (the one streaming
   /// now and those awaiting their ack are not counted).
   [[nodiscard]] std::size_t send_queue_bytes() const noexcept { return sq_bytes_; }
-  [[nodiscard]] std::size_t recv_queue_depth() const noexcept { return rq_.size(); }
+  /// Receives posted and unclaimed: the SRQ's when the QP draws from one.
+  [[nodiscard]] std::size_t recv_queue_depth() const noexcept {
+    return srq_ != nullptr ? srq_->depth() : rq_.size();
+  }
+
+  /// Runs as each WR leaves the send queue, its first chunk handed to the
+  /// NIC processor, with the time it waited there since post_send.
+  using WrStartFn = std::function<void(const SendWr&, SimDuration)>;
+  void set_on_wr_start(WrStartFn fn) { on_wr_start_ = std::move(fn); }
 
   [[nodiscard]] CqPtr send_cq() const noexcept { return send_cq_; }
   [[nodiscard]] CqPtr recv_cq() const noexcept { return recv_cq_; }
@@ -64,6 +102,13 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   void finish_wr(const SendWr& wr, std::uint32_t byte_len, WcStatus status);
   void deliver_recv(const std::shared_ptr<RdmaChunk>& chunk);
   void send_ack(const std::shared_ptr<RdmaChunk>& chunk, WcStatus status);
+  /// The receive queue a SEND claims from: the SRQ's, or the QP's own.
+  [[nodiscard]] std::deque<RecvWr>& receives() noexcept {
+    return srq_ != nullptr ? srq_->rq_ : rq_;
+  }
+  /// Re-delivers the RNR backlog in order; a chunk still lacking a buffer
+  /// re-queues itself.
+  void retry_rnr();
 
   RdmaDevice& device_;
   QpNum num_;
@@ -74,9 +119,15 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   fabric::HostId remote_host_ = fabric::k_invalid_host;
   QpNum remote_qp_ = 0;
 
-  std::deque<SendWr> sq_;
+  struct PostedWr {
+    SendWr wr;
+    SimTime posted_at = 0;
+  };
+  std::deque<PostedWr> sq_;
   std::size_t sq_bytes_ = 0;  ///< sum of local.length over sq_
+  WrStartFn on_wr_start_;
   std::deque<RecvWr> rq_;
+  SrqPtr srq_;
   bool tx_active_ = false;
   std::uint64_t next_msg_id_ = 1;
 
@@ -97,6 +148,7 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   std::deque<std::shared_ptr<RdmaChunk>> rnr_backlog_;
 
   friend class RdmaDevice;
+  friend class SharedReceiveQueue;
 };
 
 }  // namespace freeflow::rdma

@@ -21,6 +21,7 @@ namespace freeflow::rdma {
 
 class RdmaDevice;
 class QueuePair;
+class SharedReceiveQueue;
 
 using QpNum = std::uint32_t;
 using Key = std::uint32_t;
@@ -129,6 +130,9 @@ struct QpAttr {
   /// Default traffic class for every WR posted on the QP (per-stream RC QPs
   /// belong to exactly one container, so one class per QP fits them).
   std::uint32_t tenant = 0;
+  /// When set, the QP draws its receives from this shared receive queue
+  /// (ibv_qp_init_attr::srq) and takes no receives of its own.
+  std::shared_ptr<SharedReceiveQueue> srq;
 };
 
 }  // namespace freeflow::rdma

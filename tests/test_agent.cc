@@ -592,5 +592,198 @@ TEST_F(AgentFixture, CongestedTenantLeavesOtherTenantWritable) {
   EXPECT_TRUE(t.env.wait([&]() { return t.bulk_tx->writable(); }, 30 * k_second));
 }
 
+TEST_F(AgentFixture, SmallRecordOvertakesStreamingBulkRecordOnSharedTrunk) {
+  // A record never preempts a WR already streaming on its QP. Each tenant
+  // rides its own QP of the trunk, and the NIC processor interleaves their
+  // chunks, so a 256 B record posted while a 256 KiB bulk record streams
+  // arrives before the bulk record does.
+  SharedTrunk t(*this);
+  ASSERT_NE(t.bulk_tx, nullptr);
+  ASSERT_NE(t.lat_tx, nullptr);
+  SimTime bulk_arrived = -1, lat_arrived = -1;
+  t.bulk_rx->set_on_message([&](Buffer&&) { bulk_arrived = t.env.loop().now(); });
+  t.lat_rx->set_on_message([&](Buffer&&) { lat_arrived = t.env.loop().now(); });
+  // Both tenants' QPs are wired before the race.
+  ASSERT_TRUE(t.bulk_tx->send(Buffer(256)).is_ok());
+  ASSERT_TRUE(t.lat_tx->send(Buffer(256)).is_ok());
+  ASSERT_TRUE(t.env.wait([&]() { return bulk_arrived >= 0 && lat_arrived >= 0; }));
+  bulk_arrived = lat_arrived = -1;
+
+  const std::size_t bulk_bytes = t.agents.config().fragment_bytes;
+  const fabric::Nic& nic = t.env.cluster.host(0).nic();
+  const std::uint64_t bulk_tx0 = nic.tenant_tx_bytes(SharedTrunk::k_bulk);
+  ASSERT_TRUE(t.bulk_tx->send(Buffer(bulk_bytes)).is_ok());
+  // Wait until a quarter of the bulk record is on the wire.
+  ASSERT_TRUE(t.env.wait([&]() {
+    return nic.tenant_tx_bytes(SharedTrunk::k_bulk) >= bulk_tx0 + bulk_bytes / 4;
+  }));
+  ASSERT_LT(bulk_arrived, 0);
+  const SimTime sent_at = t.env.loop().now();
+  ASSERT_TRUE(t.lat_tx->send(Buffer(256)).is_ok());
+  ASSERT_TRUE(t.env.wait([&]() { return bulk_arrived >= 0 && lat_arrived >= 0; }));
+  EXPECT_LT(lat_arrived, bulk_arrived);
+  EXPECT_LT(lat_arrived - sent_at, SharedTrunk::record_stream_ns(t.env, bulk_bytes) / 2)
+      << "the small record waited for most of the bulk record";
+}
+
+TEST_F(AgentFixture, ChannelStaysInOrderWhileItsTenantQpOpens) {
+  // The second tenant's first records wait in the trunk while its QP is
+  // wired; both directions open it at once (each half asks), and every
+  // record, single- and multi-fragment, still arrives once and in order.
+  SharedTrunk t(*this);
+  ASSERT_NE(t.bulk_tx, nullptr);
+  ASSERT_NE(t.lat_tx, nullptr);
+  bool bulk_seen = false;
+  t.bulk_rx->set_on_message([&](Buffer&&) { bulk_seen = true; });
+  ASSERT_TRUE(t.bulk_tx->send(Buffer(64)).is_ok());  // the first tenant: base QP
+  ASSERT_TRUE(t.env.wait([&]() { return bulk_seen; }));
+
+  const std::size_t frag = t.agents.config().fragment_bytes;
+  std::vector<std::size_t> sizes;
+  for (int i = 0; i < 24; ++i) sizes.push_back(i % 5 == 4 ? frag + 1000 : 200 + 700 * i);
+  std::size_t at_rx = 0, at_tx = 0;
+  bool rx_in_order = true, tx_in_order = true;
+  t.lat_rx->set_on_message([&](Buffer&& m) {
+    rx_in_order = rx_in_order && at_rx < sizes.size() && m.size() == sizes[at_rx] &&
+                  check_pattern(m.view(), at_rx);
+    ++at_rx;
+  });
+  t.lat_tx->set_on_message([&](Buffer&& m) {
+    tx_in_order = tx_in_order && at_tx < sizes.size() && m.size() == sizes[at_tx] &&
+                  check_pattern(m.view(), 100 + at_tx);
+    ++at_tx;
+  });
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    Buffer fwd(sizes[i]), back(sizes[i]);
+    fill_pattern(fwd.mutable_view(), i);
+    fill_pattern(back.mutable_view(), 100 + i);
+    ASSERT_TRUE(t.lat_tx->send(std::move(fwd)).is_ok());
+    ASSERT_TRUE(t.lat_rx->send(std::move(back)).is_ok());
+  }
+  ASSERT_TRUE(t.env.wait([&]() { return at_rx == sizes.size() && at_tx == sizes.size(); },
+                         30 * k_second));
+  EXPECT_TRUE(rx_in_order);
+  EXPECT_TRUE(tx_in_order);
+  t.env.loop().run_for(k_millisecond);
+  EXPECT_EQ(at_rx, sizes.size());
+  EXPECT_EQ(at_tx, sizes.size());
+}
+
+TEST_F(AgentFixture, TenantQpWiringLostToALinkFlapIsAskedAgain) {
+  // A tenant QP's wiring exchange is one control round trip. A link flap
+  // drops its request here, and nothing RDMA crosses the link meanwhile,
+  // so the lane stays up; a later heartbeat asks again and the record flows.
+  SharedTrunk t(*this);
+  ASSERT_NE(t.bulk_tx, nullptr);
+  ASSERT_NE(t.lat_tx, nullptr);
+  bool bulk_seen = false;
+  SimTime lat_arrived = -1;
+  t.bulk_rx->set_on_message([&](Buffer&&) { bulk_seen = true; });
+  t.lat_rx->set_on_message([&](Buffer&&) { lat_arrived = t.env.loop().now(); });
+  ASSERT_TRUE(t.bulk_tx->send(Buffer(64)).is_ok());  // the first tenant: base QP
+  ASSERT_TRUE(t.env.wait([&]() { return bulk_seen; }));
+
+  fabric::Nic& nic = t.env.cluster.host(0).nic();
+  const std::uint64_t drops0 = nic.dropped_packets();
+  nic.set_link_up(false);
+  ASSERT_TRUE(t.lat_tx->send(Buffer(256)).is_ok());
+  t.env.loop().run_for(50 * k_microsecond);
+  nic.set_link_up(true);
+  ASSERT_GT(nic.dropped_packets(), drops0) << "the exchange left during the flap";
+  EXPECT_LT(lat_arrived, 0);
+  ASSERT_TRUE(t.env.wait([&]() { return lat_arrived >= 0; }, 10 * k_millisecond));
+  EXPECT_EQ(t.agents.agent_on(0).lanes_failed(), 0u);
+  EXPECT_TRUE(t.agents.agent_on(0).trunk_established(1, orch::Transport::rdma));
+}
+
+TEST_F(AgentFixture, TenantQpRegistersNoMemory) {
+  // A tenant's QP shares the trunk's slot MRs and receive queue: the bytes
+  // registered on either host stay what the first tenant's trunk took.
+  SharedTrunk t(*this);
+  ASSERT_NE(t.bulk_tx, nullptr);
+  ASSERT_NE(t.lat_tx, nullptr);
+  int bulk_seen = 0, lat_seen = 0;
+  t.bulk_rx->set_on_message([&](Buffer&&) { ++bulk_seen; });
+  t.lat_rx->set_on_message([&](Buffer&&) { ++lat_seen; });
+  ASSERT_TRUE(t.bulk_tx->send(Buffer(64)).is_ok());
+  ASSERT_TRUE(t.env.wait([&]() { return bulk_seen == 1; }));
+  rdma::RdmaDevice& dev0 = t.agents.agent_on(0).rdma_device();
+  rdma::RdmaDevice& dev1 = t.agents.agent_on(1).rdma_device();
+  const std::size_t registered0 = dev0.registered_bytes();
+  const std::size_t registered1 = dev1.registered_bytes();
+  const AgentConfig& cfg = t.agents.config();
+  EXPECT_EQ(registered0, 2 * cfg.rdma_slots * (cfg.fragment_bytes + RelayHeader::k_size));
+
+  ASSERT_TRUE(t.lat_tx->send(Buffer(64)).is_ok());
+  ASSERT_TRUE(t.env.wait([&]() { return lat_seen == 1; }));
+  // The latency tenant's record crossed a QP pair of its own: each device's
+  // second QP (its first is the trunk's base QP), wired to the other's.
+  const auto tenant_qp0 = dev0.qp(2);
+  const auto tenant_qp1 = dev1.qp(2);
+  ASSERT_NE(tenant_qp0, nullptr);
+  ASSERT_NE(tenant_qp1, nullptr);
+  EXPECT_EQ(tenant_qp0->state(), rdma::QpState::ready);
+  EXPECT_EQ(tenant_qp0->remote_qp(), tenant_qp1->num());
+  EXPECT_EQ(tenant_qp1->remote_qp(), tenant_qp0->num());
+  EXPECT_EQ(dev0.qp(1)->remote_qp(), dev1.qp(1)->num());
+  EXPECT_EQ(dev0.registered_bytes(), registered0);
+  EXPECT_EQ(dev1.registered_bytes(), registered1);
+}
+
+TEST_F(AgentFixture, RdmaDeathFailsTheWholeTrunkOnce) {
+  // Chunks of both tenants' QPs drop when the engine dies; the trunk is one
+  // lane, so each end counts one failure.
+  SharedTrunk t(*this);
+  ASSERT_NE(t.bulk_tx, nullptr);
+  ASSERT_NE(t.lat_tx, nullptr);
+  t.bulk_rx->set_on_message([](Buffer&&) {});
+  t.lat_rx->set_on_message([](Buffer&&) {});
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(t.bulk_tx->send(Buffer(64 * 1024)).is_ok());
+    ASSERT_TRUE(t.lat_tx->send(Buffer(64 * 1024)).is_ok());
+  }
+  const SimTime start = t.env.loop().now();
+  t.env.wait([&]() { return t.env.loop().now() >= start + 20 * k_microsecond; });
+  t.env.cluster.host(0).nic().set_rdma_up(false);
+  t.env.loop().run_for(k_millisecond);
+  EXPECT_EQ(t.agents.agent_on(0).lanes_failed(), 1u);
+  EXPECT_EQ(t.agents.agent_on(1).lanes_failed(), 1u);
+  EXPECT_FALSE(t.agents.agent_on(0).trunk_established(1, orch::Transport::rdma));
+}
+
+TEST_F(AgentFixture, TcpTrunkStackCpuIsBilledToTheAgent) {
+  // Every host-CPU ns a TCP-trunk transfer burns belongs to a container or
+  // to the agent: the agents' kernel stack work included.
+  Env env(2);
+  AgentFabric agents(*env.net_orch);
+  auto a = env.deploy("a", 1, 0);
+  auto b = env.deploy("b", 1, 1);
+  auto [ep_a, ep_b] = open_channel(env, agents, a, b, orch::Transport::tcp_host);
+  ASSERT_NE(ep_a, nullptr);
+  std::size_t got = 0;
+  ep_b->set_on_message([&](Buffer&& m) { got += m.size(); });
+  const auto billed = [&]() {
+    return a->account().busy_ns + b->account().busy_ns + agents.agent_on(0).account().busy_ns +
+           agents.agent_on(1).account().busy_ns;
+  };
+  const auto burned = [&]() {
+    return env.cluster.host(0).cpu().busy_ns_total() + env.cluster.host(1).cpu().busy_ns_total();
+  };
+  const double agents0 =
+      agents.agent_on(0).account().busy_ns + agents.agent_on(1).account().busy_ns;
+  const double billed0 = billed(), burned0 = burned();
+  constexpr std::size_t k_bytes = 4 * 1024 * 1024;
+  for (std::size_t sent = 0; sent < k_bytes; sent += 64 * 1024) {
+    ASSERT_TRUE(ep_a->send(Buffer(64 * 1024)).is_ok());
+  }
+  ASSERT_TRUE(env.wait([&]() { return got == k_bytes; }, 30 * k_second));
+  env.loop().run();
+  const double agents_grew =
+      agents.agent_on(0).account().busy_ns + agents.agent_on(1).account().busy_ns - agents0;
+  EXPECT_GT(agents_grew, 0.0);
+  EXPECT_NEAR(billed() - billed0, burned() - burned0, 1e-6 * (burned() - burned0))
+      << "host CPU billed to nobody";
+}
+
 }  // namespace
 }  // namespace freeflow::agent

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <vector>
+
 #include "fabric/cluster.h"
 #include "fabric/control.h"
 
@@ -252,6 +256,82 @@ TEST(WdrrTenantQos, RateCapThrottlesTenantOnIdleLink) {
   const double gbps = throughput_gbps(bytes_rx, cluster.loop().now());
   EXPECT_LE(gbps, 5.5);
   EXPECT_GT(gbps, 4.0);
+}
+
+// A 4 KiB RDMA chunk's wire size (payload plus RoCE headers): what the
+// processor's WDRR charges a job for it.
+constexpr std::uint32_t k_chunk_wire_bytes = 4096 + 58;
+
+TEST(WdrrNicProcessor, Weight8JobWaitsAFewJobsBehindSaturatingWeight1Tenant) {
+  // A FIFO processor would run the weight-8 job after the whole burst
+  // queued ahead of it; per-tenant WDRR runs it after the job in service
+  // and at most the rest of the weight-1 tenant's quantum (16 KiB: 3 jobs).
+  Cluster cluster;
+  cluster.add_hosts(1);
+  Nic& nic = cluster.host(0).nic();
+  nic.set_tenant_qos(1, TenantQos{.weight = 1});
+  nic.set_tenant_qos(2, TenantQos{.weight = 8});
+  const double job_ns = cluster.cost_model().nic_pkt_cost(4096);
+  int bulk_done = 0;
+  for (int i = 0; i < 200; ++i) {
+    nic.process(1, job_ns, k_chunk_wire_bytes, [&bulk_done]() { ++bulk_done; });
+  }
+  cluster.loop().run_for(static_cast<SimDuration>(10.5 * job_ns));
+  const SimTime queued = cluster.loop().now();
+  SimTime done_at = -1;
+  nic.process(2, job_ns, k_chunk_wire_bytes,
+              [&done_at, &cluster]() { done_at = cluster.loop().now(); });
+  cluster.loop().run();
+  ASSERT_GE(done_at, 0);
+  EXPECT_LE(done_at - queued, static_cast<SimDuration>(5 * job_ns));
+  EXPECT_EQ(bulk_done, 200);
+}
+
+TEST(WdrrNicProcessor, StreamingTenantsSplitTheProcessorByWeight) {
+  // An RC QP streams a message one chunk at a time: each job's completion
+  // queues the next. Such a tenant keeps its turn while its deficit lasts,
+  // so two streaming tenants share the processor 8:1.
+  Cluster cluster;
+  cluster.add_hosts(1);
+  Nic& nic = cluster.host(0).nic();
+  nic.set_tenant_qos(1, TenantQos{.weight = 8});
+  nic.set_tenant_qos(2, TenantQos{.weight = 1});
+  const double job_ns = cluster.cost_model().nic_pkt_cost(4096);
+  std::array<std::uint64_t, 3> jobs{};
+  bool streaming = true;
+  std::function<void(std::uint32_t)> stream = [&](std::uint32_t tenant) {
+    nic.process(tenant, job_ns, k_chunk_wire_bytes, [&, tenant]() {
+      ++jobs[tenant];
+      if (streaming) stream(tenant);
+    });
+  };
+  stream(1);
+  stream(2);
+  cluster.loop().run_for(static_cast<SimDuration>(2000 * job_ns));
+  ASSERT_GT(jobs[2], 0u);
+  EXPECT_NEAR(static_cast<double>(jobs[1]) / static_cast<double>(jobs[2]), 8.0, 0.8);
+  EXPECT_NEAR(static_cast<double>(jobs[1] + jobs[2]), 2000.0, 2.0) << "the processor idled";
+  streaming = false;
+  cluster.loop().run();
+}
+
+TEST(WdrrNicProcessor, LoneTenantRunsFifoBackToBack) {
+  Cluster cluster;
+  cluster.add_hosts(1);
+  Nic& nic = cluster.host(0).nic();
+  std::vector<int> order;
+  double work = 0;
+  for (int i = 0; i < 20; ++i) {
+    const double job_ns = 100.0 + 37.0 * i;
+    work += job_ns;
+    nic.process(3, job_ns, 64 + 100 * static_cast<std::uint32_t>(i),
+                [&order, i]() { order.push_back(i); });
+  }
+  cluster.loop().run();
+  ASSERT_EQ(order.size(), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  EXPECT_NEAR(static_cast<double>(cluster.loop().now()), work, 20.0);
+  EXPECT_NEAR(nic.processor().busy_ns_total(), work, 20.0);
 }
 
 }  // namespace
